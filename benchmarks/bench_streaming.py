@@ -30,14 +30,12 @@ _MODULES = ["pcie_slot_12v", "pcie8pin", "pcie_slot_3v3", "usbc"]
 
 def _bench_setup(
     n_pairs: int,
-    vectorized: bool = True,
     registry: MetricsRegistry | None = None,
 ) -> SimulatedSetup:
     setup = SimulatedSetup(
         _MODULES[:n_pairs],
         seed=0,
         calibration_samples=1024,
-        vectorized=vectorized,
         registry=registry,
     )
     setup.source.start()

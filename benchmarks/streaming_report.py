@@ -6,21 +6,19 @@ Usage::
 
 The report compares three stages of the receive/persist pipeline:
 
-* **decode** — wire bytes to ``SampleBlock``: the retained scalar decoder
-  (``vectorized=False``, the pre-optimisation implementation) against the
-  vectorised block decoder, on identical pre-produced 4-pair streams.
+* **decode** — wire bytes to ``SampleBlock`` through the vectorised
+  block decoder on pre-produced 4-pair streams, against the recorded
+  throughput of the scalar decoder it replaced.
 * **read_block** — the full pull path including the simulated device
   producing the bytes (the device side bounds this number; the host-side
   share is the decode row above).
 * **producer** — ``read_block`` through the shared producer ring
   (``producer=`` specs): the consumer path against a pre-filled ring
-  (what the ring buys once a producer core keeps it ahead), the honest
-  single-core sustained rate with inline production, and the fleet
-  ``read_all`` vectorised fold against the historical per-member loop.
-* **dump I/O** — ``DumpWriter``/``DumpReader`` on a tmpfs file.  The old
-  row-loop writer and the pure ``np.loadtxt`` reader no longer exist in
-  the tree, so their throughput is carried as recorded baselines
-  (measured on this repo at the commit before the vectorisation).
+  (what the ring buys once a producer core keeps it ahead), and the
+  honest single-core sustained rate with inline production.
+* **dump I/O** — ``DumpWriter``/``DumpReader`` on a tmpfs file, against
+  the recorded throughput of the row-loop writer and the pure
+  ``np.loadtxt`` reader they replaced.
 * **observability** — the same decode workload with the metrics layer
   enabled (spans, gauges, health counters) and disabled
   (``MetricsRegistry(enabled=False)``): the ``overhead_pct`` delta is
@@ -79,10 +77,10 @@ from repro.observability import MetricsRegistry
 
 _MODULES = ["pcie_slot_12v", "pcie8pin", "pcie_slot_3v3", "usbc"]
 
-#: Throughput of the implementations this PR replaced, measured on the
-#: same workload (1M samples / rows, 4 pairs) at the pre-optimisation
-#: commit.  The scalar decoder still exists and is re-measured live; the
-#: old dump code paths do not, so their numbers are recorded here.
+#: Throughput of the implementations the vectorised decoder and dump I/O
+#: replaced, measured on the same workload (1M samples / rows, 4 pairs) at
+#: the pre-optimisation commit.  Those code paths no longer exist, so
+#: their numbers are recorded here and every speedup is taken against them.
 RECORDED_BASELINES = {
     "decode_scalar_samples_per_s": 70_541,
     "dump_write_samples_per_s": 169_772,
@@ -107,24 +105,17 @@ def bench_decode(n_samples: int, repeat: int) -> dict:
     source = setup.source
 
     vec_t = best_of(lambda: source._decode(data, n_samples), repeat)
-
-    # The scalar reference is ~50x slower; time a slice and scale the
-    # sample count, not the measured rate.
-    n_scalar = max(n_samples // 10, 10_000)
-    scalar_data = data[: len(data) * n_scalar // n_samples]
-    scalar_t = best_of(lambda: source._decode_scalar(scalar_data, n_scalar), repeat)
-
     read_t = best_of(lambda: setup.source.read_block(50_000), repeat)
     setup.close()
     vec_rate = n_samples / vec_t
-    scalar_rate = n_scalar / scalar_t
     return {
         "n_samples": n_samples,
         "n_pairs": 4,
         "wire_bytes": len(data),
-        "scalar_samples_per_s": round(scalar_rate),
         "vectorized_samples_per_s": round(vec_rate),
-        "decode_speedup": round(vec_rate / scalar_rate, 1),
+        "decode_speedup": round(
+            vec_rate / RECORDED_BASELINES["decode_scalar_samples_per_s"], 1
+        ),
         "read_block_samples_per_s": round(50_000 / read_t),
         "read_block_includes_device_simulation": True,
     }
@@ -143,12 +134,7 @@ def bench_producer(n_samples: int, repeat: int) -> dict:
     * ``sustained_samples_per_s`` — production + consumption on one
       core (inline producer, nothing hidden): the honest single-CPU
       rate, bounded by device simulation exactly like the classic path.
-
-    A fleet ``read_all`` comparison (vectorised fold vs the historical
-    per-member loop) rides along, since both rewrites ship together.
     """
-    from repro.core.fleet import Fleet
-
     batch = 8192
     setup = SimulatedSetup(
         _MODULES,
@@ -181,31 +167,6 @@ def bench_producer(n_samples: int, repeat: int) -> dict:
 
     sustained_t = best_of(consume, repeat)  # ring empty: inline production included
     setup.close()
-
-    def read_all_rate(vectorized: bool, devices: int, seconds: float, steps: int) -> float:
-        fleet = Fleet()
-        for i in range(devices):
-            fleet.add_spec(f"sim://pcie_slot_12v?seed={i}&device=rd{i}&calibrate=false")
-        fleet.read_all(seconds, vectorized=vectorized)  # warm-up
-        t0 = time.perf_counter()
-        total = 0
-        for _ in range(steps):
-            total += fleet.read_all(seconds, vectorized=vectorized).total_samples
-        dt = time.perf_counter() - t0
-        fleet.close()
-        return total / dt
-
-    def read_all_point(devices: int, seconds: float, steps: int) -> dict:
-        loop_rate = read_all_rate(False, devices, seconds, steps)
-        vec_rate = read_all_rate(True, devices, seconds, steps)
-        return {
-            "devices": devices,
-            "read_seconds": seconds,
-            "loop_samples_per_s": round(loop_rate),
-            "vectorized_samples_per_s": round(vec_rate),
-            "speedup": round(vec_rate / loop_rate, 2),
-        }
-
     return {
         "producer_batch": batch,
         "ring_bytes": 1 << 24,
@@ -213,13 +174,6 @@ def bench_producer(n_samples: int, repeat: int) -> dict:
         "read_block_samples_per_s": round(hot_n / hot_t),
         "sustained_samples_per_s": round(hot_n / sustained_t),
         "sustained_includes_device_simulation": True,
-        "fleet_read_all": {
-            # Bulk reads: device simulation dominates, the fold is noise.
-            "bulk": read_all_point(4, 2.0, 1),
-            # Wide fleet polled at realtime cadence: per-member Python
-            # overhead is the bottleneck the vectorised fold removes.
-            "wide": read_all_point(32, 0.002, 100),
-        },
     }
 
 
@@ -723,7 +677,7 @@ def _run_fleet(duration: float, chunk: int) -> dict:
 
 
 def bench_fleet(repeat: int) -> dict:
-    """The multi-device serving path (one run; a live threaded daemon)."""
+    """The multi-device serving path (one run of a live daemon)."""
     return {"mixed_fleet": _run_fleet(2.0, 400)}
 
 

@@ -23,9 +23,8 @@ from repro.cli.common import (
 )
 from repro.common.errors import ConfigurationError
 from repro.observability import MetricsRegistry, Tracer
-from repro.server.backpressure import POLICIES
 from repro.server.daemon import DEFAULT_CHUNK, PowerSensorServer
-from repro.server.threaded import ThreadedPowerSensorServer
+from repro.server.ring import POLICIES
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -51,7 +50,8 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=256,
         metavar="N",
-        help="per-client send buffer depth, in frames",
+        help="frames retained by each device's raw ring and by each "
+        "(device, window) ring",
     )
     parser.add_argument(
         "--chunk",
@@ -66,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
         default=1,
         metavar="N",
         help="chunks of stream time read from the device per pump tick "
-        "(one large read, re-framed chunk-sized; async engine only)",
+        "(one large read, re-framed chunk-sized)",
     )
     parser.add_argument(
         "--duration",
@@ -95,8 +95,8 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=5.0,
         metavar="SECONDS",
-        help="handshake timeout, and eviction timeout for a full "
-        "block-policy buffer",
+        help="handshake timeout, and how long the pump waits on a "
+        "block-policy subscriber at ring capacity before evicting it",
     )
     parser.add_argument(
         "--time-scale",
@@ -110,19 +110,12 @@ def main(argv: list[str] | None = None) -> int:
         help="pump as fast as possible instead of pacing to --time-scale",
     )
     parser.add_argument(
-        "--engine",
-        choices=("async", "threaded"),
-        default="async",
-        help="server core: the asyncio broadcast-ring event loop "
-        "(default) or the legacy thread-per-client engine",
-    )
-    parser.add_argument(
         "--record-store",
         metavar="DIR",
         default=None,
         help="record every pumped sample into a telemetry store under "
         "DIR (one per-device subdirectory) and serve HISTORY queries "
-        "from it (async engine only)",
+        "from it",
     )
     parser.add_argument(
         "--store-roll",
@@ -153,34 +146,19 @@ def _serve(args: argparse.Namespace, registry: MetricsRegistry, tracer: Tracer) 
     try:
         fleet = setup_fleet(setup)
         source = fleet.sources() if fleet is not None else setup.source
-        if args.engine == "threaded":
-            if args.pump_batch != 1:
-                raise ConfigurationError(
-                    "--pump-batch needs the async engine (drop --engine threaded)"
-                )
-            if args.record_store is not None:
-                raise ConfigurationError(
-                    "--record-store needs the async engine (drop --engine threaded)"
-                )
-            server_cls = ThreadedPowerSensorServer
-            extra = {}
-        else:
-            server_cls = PowerSensorServer
-            extra = {"pump_batch": args.pump_batch}
-            if args.record_store is not None:
-                extra["record_store"] = args.record_store
-                extra["store_roll"] = args.store_roll
-        server = server_cls(
+        server = PowerSensorServer(
             source,
             args.listen,
             policy=args.policy,
             buffer_frames=args.buffer_frames,
             chunk=args.chunk,
-            **extra,
+            pump_batch=args.pump_batch,
             client_timeout=args.client_timeout,
             max_clients=args.max_clients,
             time_scale=0.0 if args.fast else args.time_scale,
             wait_clients=args.wait_clients,
+            record_store=args.record_store,
+            store_roll=args.store_roll,
             registry=registry,
             tracer=tracer,
         )

@@ -113,16 +113,6 @@ class PowerSensor:
         policy: bounded re-reads with widening spans, then
         :class:`StreamStalledError` if the stream stays silent.
         """
-        block = self._pump_read(n_samples)
-        self._process(block)
-        return block
-
-    def _pump_read(self, n_samples: int) -> SampleBlock:
-        """The read half of :meth:`pump`: block read + empty-read recovery.
-
-        Split out so the fleet's vectorised ``read_all`` can gather every
-        member's block before folding them all in one pass.
-        """
         block = self.source.read_block(n_samples)
         if (
             len(block) == 0
@@ -132,6 +122,7 @@ class PowerSensor:
             self.health.empty_reads += 1
             if self.recovery is not None:
                 block = self._retry_read(n_samples)
+        self._process(block)
         return block
 
     def _retry_read(self, n_samples: int) -> SampleBlock:
@@ -165,20 +156,18 @@ class PowerSensor:
         """
         if seconds < 0:
             raise MeasurementError(f"cannot pump a negative duration ({seconds} s)")
-        return self.pump(self._seconds_to_samples(seconds))
-
-    def _seconds_to_samples(self, seconds: float) -> int:
-        """Duration → sample count with the fractional-remainder carry."""
         exact = seconds * self.sample_rate + self._pump_residual
         n = max(int(round(exact)), 0)
         self._pump_residual = exact - n
-        return n
+        return self.pump(n)
 
     def _process(self, block: SampleBlock) -> None:
         n = len(block)
         if n == 0:
             return
-        power = block.values[:, 0::2] * block.values[:, 1::2]  # (n, PAIRS)
+        currents = block.values[:, 0::2]
+        volts = block.values[:, 1::2]
+        power = currents * volts  # (n, PAIRS)
         if self._prev_time is None:
             first_dt = self.sample_interval
         else:
@@ -190,24 +179,6 @@ class PowerSensor:
         # Samples lost to faults show up as oversized inter-sample gaps;
         # integration bridges them, but the bridging is accounted for.
         gaps = int(np.count_nonzero(dts > 1.5 * self.sample_interval))
-        self._fold_segment(block, power, dts, gaps)
-
-    def _fold_segment(
-        self, block: SampleBlock, power: np.ndarray, dts: np.ndarray, gaps: int
-    ) -> None:
-        """Fold one block whose power/dts/gap count were precomputed.
-
-        :meth:`pump` computes them per block; the fleet's vectorised
-        ``read_all`` computes them for every member in one concatenated
-        pass and hands each member its slice — bitwise-identical either
-        way (the slices are contiguous row ranges, so the ``power.T @
-        dts`` accumulation sees the same memory layout).
-        """
-        n = len(block)
-        if n == 0:
-            return
-        currents = block.values[:, 0::2]
-        volts = block.values[:, 1::2]
         if gaps:
             self.health.gaps_bridged += gaps
         self._energy += power.T @ dts

@@ -78,7 +78,6 @@ class SimulatedSetup:
         faults: str | list[FaultModel] | None = None,
         fault_seed: int | None = None,
         recovery: RecoveryPolicy | None = DEFAULT_RECOVERY,
-        vectorized: bool = True,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         device: str | None = None,
@@ -152,7 +151,6 @@ class SimulatedSetup:
                 )
             self.source = ProtocolSampleSource(
                 self.link,
-                vectorized=vectorized,
                 registry=self.registry,
                 tracer=self.tracer,
                 device=device,
@@ -195,7 +193,6 @@ def simulated_source(
     fault_seed: int | None = None,
     calibrate: bool = True,
     calibration_samples: int = SETUP_CALIBRATION_SAMPLES,
-    vectorized: bool = True,
     device: str | None = None,
     producer: str | None = None,
     producer_batch: int = DEFAULT_BATCH,
@@ -218,7 +215,6 @@ def simulated_source(
         fault_seed=fault_seed,
         calibrate=calibrate,
         calibration_samples=calibration_samples,
-        vectorized=vectorized,
         registry=registry,
         tracer=tracer,
         device=device,

@@ -11,7 +11,7 @@ Two implementations with identical semantics:
   conversion math are the *same code*; only packet encode/decode is
   skipped.  ``tests/test_sources.py`` pins the two paths to each other.
 
-The protocol source decodes in three tiers, fastest applicable first:
+The protocol source decodes in two tiers, fastest applicable first:
 
 1. **Template fast path** — a clean stream is strictly periodic
    (``timestamp + one packet per enabled sensor``), so one vectorised
@@ -23,10 +23,10 @@ The protocol source decodes in three tiers, fastest applicable first:
    grouping pass that splits packets into sample sets on timestamp
    packets; only the rare corrupted stretches fall back to per-boundary
    Python dictionaries.
-3. **Scalar reference path** — the original per-event implementation,
-   kept bit-for-bit intact behind ``vectorized=False``;
-   ``tests/test_block_decoder.py`` pins the fast paths to it, including
-   under every fault model.
+
+``tests/test_block_decoder.py`` pins both tiers to a per-event reference
+decoder (``StreamDecoder`` plus scalar timestamp unwrapping), including
+under every fault model.
 """
 
 from __future__ import annotations
@@ -42,14 +42,7 @@ import numpy as np
 from repro.common.clock import VirtualClock
 from repro.common.errors import DeviceError, ProtocolError
 from repro.firmware.commands import Command
-from repro.firmware.protocol import (
-    BlockDecoder,
-    SensorReading,
-    StreamDecoder,
-    TIMESTAMP_SENSOR,
-    Timestamp,
-    TimestampUnwrapper,
-)
+from repro.firmware.protocol import BlockDecoder, TIMESTAMP_SENSOR, TimestampUnwrapper
 from repro.firmware.version import FIRMWARE_VERSION
 from repro.core.health import StreamHealth
 from repro.observability import MetricsRegistry, Tracer
@@ -209,25 +202,18 @@ class SampleSource(abc.ABC):
 
 
 class ProtocolSampleSource(SampleSource):
-    """Byte-accurate source over the virtual serial link.
-
-    ``vectorized=False`` selects the scalar per-event reference decoder;
-    the default batch decoder produces numerically identical
-    :class:`SampleBlock` streams and :class:`StreamHealth` counters.
-    """
+    """Byte-accurate source over the virtual serial link."""
 
     def __init__(
         self,
         link: VirtualSerialLink,
-        vectorized: bool = True,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         device: str | None = None,
     ) -> None:
         self.link = link
         self.device = device
-        self._vectorized = bool(vectorized)
-        self._decoder = BlockDecoder() if self._vectorized else StreamDecoder()
+        self._decoder = BlockDecoder()
         self._unwrapper = TimestampUnwrapper()
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer(self.registry)
@@ -348,11 +334,6 @@ class ProtocolSampleSource(SampleSource):
     # ------------------------------------------------------------------ #
 
     def _decode(self, data: bytes, n_expected: int) -> SampleBlock:
-        if not self._vectorized:
-            with self.tracer.span("decode", tier="scalar", **self._span_labels) as span:
-                block = self._decode_scalar(data, n_expected)
-            self._observe_decode(len(data), len(block), span.duration)
-            return block
         self.health.bytes_read += len(data)
         with self.tracer.span("decode", tier="template", **self._span_labels) as span:
             block = self._decode_template(data)
@@ -458,7 +439,7 @@ class ProtocolSampleSource(SampleSource):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Group decoded packets into complete sample sets.
 
-        Mirrors the scalar event loop exactly: a sample set is closed at
+        Matches a per-event loop exactly: a sample set is closed at
         each timestamp packet (and at end of buffer) once every enabled
         sensor has reported since the previous close; incomplete sets are
         carried across calls.  Boundaries between complete sets are
@@ -482,7 +463,7 @@ class ProtocolSampleSource(SampleSource):
         seg = np.searchsorted(idx_ts, r_idx)
         if not self._have_timestamp:
             # Readings before the first-ever timestamp have no time anchor
-            # and are discarded (scalar behaviour).
+            # and are discarded.
             keep = seg >= 1
             if not keep.all():
                 r_sensor, r_value, r_marker, seg = (
@@ -585,68 +566,6 @@ class ProtocolSampleSource(SampleSource):
                     codes[row, sensor] = value
                 markers[row] = marker_flag
         return times, codes, markers
-
-    # ------------------------------------------------------------------ #
-    # Scalar reference path                                              #
-    # ------------------------------------------------------------------ #
-
-    def _decode_scalar(self, data: bytes, n_expected: int) -> SampleBlock:
-        """Per-event reference decoder (``vectorized=False``).
-
-        This is the original implementation, kept as the behavioural
-        reference the vectorised paths are pinned against.
-        """
-        times: list[float] = []
-        rows: list[np.ndarray] = []
-        markers: list[bool] = []
-        enabled_sensors = [i for i, c in enumerate(self.configs) if c.enabled]
-        n_enabled = len(enabled_sensors)
-        self.health.bytes_read += len(data)
-        resyncs_before = self._decoder.resync_count
-
-        # Accumulate the per-packet count locally; one counter update per
-        # call keeps the scalar reference path's cost unchanged.
-        packets_decoded = 0
-        for event in self._decoder.feed(data):
-            packets_decoded += 1
-            if isinstance(event, Timestamp):
-                self._flush_sample(times, rows, markers, n_enabled)
-                self._current_time = self._unwrapper.update(event.micros)
-                self._have_timestamp = True
-            elif isinstance(event, SensorReading):
-                if not self._have_timestamp:
-                    continue  # wait for the first timestamp to anchor time
-                self._pending_sample[event.sensor] = event.value
-                self._pending_marker = self._pending_marker or event.marker
-        self._flush_sample(times, rows, markers, n_enabled)
-        self.health.packets_decoded += packets_decoded
-        self.health.packets_dropped += self._decoder.resync_count - resyncs_before
-        self.health.samples_decoded += len(times)
-
-        if not times:
-            return self._empty_block()
-        codes = np.zeros((len(rows), SENSORS), dtype=np.int64)
-        for i, row in enumerate(rows):
-            codes[i] = row
-        return SampleBlock(
-            times=np.asarray(times),
-            values=self._convert(codes),
-            markers=np.asarray(markers, dtype=bool),
-            enabled=self._enabled_mask.copy(),
-        )
-
-    def _flush_sample(self, times, rows, markers, n_enabled: int) -> None:
-        """Close out the sample set currently being accumulated, if complete."""
-        if not self._have_timestamp or len(self._pending_sample) < n_enabled:
-            return
-        row = np.zeros(SENSORS, dtype=np.int64)
-        for sensor, value in self._pending_sample.items():
-            row[sensor] = value
-        times.append(self._current_time)
-        rows.append(row)
-        markers.append(self._pending_marker)
-        self._pending_sample = {}
-        self._pending_marker = False
 
 
 class DirectSampleSource(SampleSource):
@@ -838,7 +757,7 @@ _SPEC_INT_KEYS = frozenset(
     {"seed", "fault_seed", "window", "calibration_samples", "producer_batch", "ring_bytes"}
 )
 _SPEC_FLOAT_KEYS = frozenset({"speed", "connect_timeout", "t0", "t1"})
-_SPEC_BOOL_KEYS = frozenset({"direct", "loop", "vectorized", "calibrate"})
+_SPEC_BOOL_KEYS = frozenset({"direct", "loop", "calibrate"})
 _SPEC_TRUE = frozenset({"1", "true", "yes", "on", ""})
 _SPEC_FALSE = frozenset({"0", "false", "no", "off"})
 

@@ -10,12 +10,9 @@ unchanged semantics.  See ``docs/serving.md``.
 
 :class:`PowerSensorServer` runs a single-threaded asyncio event loop
 around a shared :class:`BroadcastRing` (encode each frame once, fan out
-by :class:`RingCursor`); the original thread-per-client engine survives
-as :class:`ThreadedPowerSensorServer` (``psserve --engine threaded``) and
-as the byte-equivalence baseline in the test suite.
+by :class:`RingCursor`).
 """
 
-from repro.server.backpressure import BufferTimeout, SendBuffer
 from repro.server.client import (
     RemoteLink,
     RemoteSampleSource,
@@ -24,7 +21,6 @@ from repro.server.client import (
 )
 from repro.server.daemon import PowerSensorServer
 from repro.server.ring import BroadcastRing, RingCursor
-from repro.server.threaded import ThreadedPowerSensorServer
 from repro.server.wire import (
     Frame,
     FrameDecoder,
@@ -38,14 +34,11 @@ from repro.server.wire import (
 )
 
 __all__ = [
-    "BufferTimeout",
-    "SendBuffer",
     "RemoteLink",
     "RemoteSampleSource",
     "RemoteSetup",
     "connect_stream",
     "PowerSensorServer",
-    "ThreadedPowerSensorServer",
     "BroadcastRing",
     "RingCursor",
     "Frame",

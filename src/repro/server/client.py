@@ -448,7 +448,6 @@ class RemoteSampleSource(ProtocolSampleSource):
         mode: str = "raw",
         window: int = 1,
         device: str | None = None,
-        vectorized: bool = True,
         recovery: RecoveryPolicy | None = DEFAULT_RECOVERY,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
@@ -475,7 +474,6 @@ class RemoteSampleSource(ProtocolSampleSource):
         self._backlog_count = 0
         super().__init__(
             link,
-            vectorized=vectorized,
             registry=registry,
             tracer=tracer,
             device=link.device,

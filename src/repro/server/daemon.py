@@ -32,13 +32,13 @@ The public surface is thread-friendly: :meth:`start`, :meth:`serve`,
 :meth:`finish` and :meth:`close` may be called from plain threads (the
 CLI and the test suite do); they marshal onto the loop internally.
 
-Everything observable is counted: the thread-era series
-(``server_clients_connected``, ``server_clients_total``,
-``server_clients_evicted_total``, ``server_samples_produced_total``,
-``server_frames_sent_total``, ``server_bytes_sent_total``,
+Everything observable is counted: ``server_clients_connected``,
+``server_clients_total``, ``server_clients_evicted_total``,
+``server_samples_produced_total``, ``server_frames_sent_total``,
+``server_bytes_sent_total``,
 ``server_frames_dropped_total{client=,policy=,device=,kind=}``, the
-``server_accept`` / ``server_pump`` / ``server_send`` spans) plus the
-ring-era gauges ``server_frames_encoded_total{device=}``,
+``server_accept`` / ``server_pump`` / ``server_send`` spans, and the
+ring series ``server_frames_encoded_total{device=}``,
 ``server_ring_occupancy{device=}`` and
 ``server_client_cursor_lag{client=,device=}``.
 """
@@ -62,8 +62,7 @@ from repro.common.errors import (
 from repro.core.sources import SampleBlock, SampleSource
 from repro.hardware.eeprom import VirtualEeprom
 from repro.observability import MetricsRegistry, Tracer
-from repro.server.backpressure import POLICIES
-from repro.server.ring import BroadcastRing, RingCursor
+from repro.server.ring import POLICIES, BroadcastRing, RingCursor
 from repro.server.wire import (
     HISTORY_FAILED,
     HISTORY_NO_STORE,
@@ -142,21 +141,19 @@ def _source_pair_names(source) -> list[str]:
 
 
 class _Device:
-    """Server-side state for one served device (shared by both engines)."""
+    """Server-side state for one served device."""
 
     def __init__(self, name: str, source, registry: MetricsRegistry) -> None:
         self.name = name
         self.source = source
         self.store = None  # TelemetryStore when the server records history
         self.raw_capable = _raw_capable(source)
-        self.seq = 0  # DATA sequence for the threaded engine
         self.samples_produced = 0
         self.samples_counter = registry.counter(
             "server_samples_produced_total",
             help="samples pumped from the device",
             device=name,
         )
-        # Ring-engine state (unused by the threaded engine).
         self.clients: set[_AsyncClient] = set()
         self.raw_ring: BroadcastRing | None = None
         self.window_streams: dict[int, _WindowStream] = {}
@@ -170,10 +167,6 @@ class _Device:
             help="frames retained in the device's raw broadcast ring",
             device=name,
         )
-
-    def next_seq(self) -> int:
-        self.seq += 1
-        return self.seq
 
     def ensure_raw_ring(self, capacity: int) -> BroadcastRing:
         if self.raw_ring is None:
@@ -196,8 +189,8 @@ class _WindowStream:
     """One shared server-side window stream: fold and encode once per tick.
 
     All subscribers of the same ``(device, window)`` pair share this
-    accumulator and its ring — the thread-era daemon kept one
-    accumulator *per client* and paid a Python fold per client per tick.
+    accumulator and its ring, so the fold costs one pass per tick however
+    many clients read it.
     """
 
     def __init__(self, window: int, capacity: int) -> None:
@@ -1038,7 +1031,7 @@ class PowerSensorServer:
         """Hold the pump while a ``block``-policy cursor would be overrun.
 
         Bounded by the client timeout, after which the laggards are
-        evicted — the async analogue of :class:`BufferTimeout`.
+        evicted.
         """
         stop = self._stop_event
         drained = self._drain_event

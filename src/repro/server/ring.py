@@ -1,20 +1,13 @@
 """The shared broadcast ring: encode each frame once, fan out by cursor.
 
-The thread-per-client daemon gave every subscriber its own
-:class:`~repro.server.backpressure.SendBuffer` holding a *copy* of each
-encoded frame reference and paid one ``put()`` (lock, policy check,
-notify) per client per frame.  At a thousand subscribers that is a
-thousand lock round-trips per pump tick before a single byte reaches a
-socket.
+Each device stream owns one append-only :class:`BroadcastRing` of
+encoded frames, and every subscriber holds a :class:`RingCursor` — an
+integer position into that ring — instead of a private frame queue.
+Fan-out cost per tick is one encode plus N integer compares; the frame
+bytes are shared (``bytes`` is immutable) all the way into each socket
+write.
 
-The asyncio core inverts the ownership: each device stream owns one
-append-only :class:`BroadcastRing` of encoded frames, and every
-subscriber holds a :class:`RingCursor` — an integer position into that
-ring.  Fan-out cost per tick is one encode plus N integer compares; the
-frame bytes are shared (``bytes`` is immutable) all the way into each
-socket write.
-
-Backpressure policies become cursor policies:
+Backpressure policies are cursor policies:
 
 * ``block`` — the ring never evicts a frame an unconsumed block cursor
   still needs; the *pump* flow-controls (waits, bounded by the client
@@ -39,8 +32,8 @@ from collections import deque
 
 from repro.common.errors import ConfigurationError
 
-#: Cursor policies (mirrors ``backpressure.POLICIES`` for the ring world).
-CURSOR_POLICIES = ("block", "drop-oldest", "downsample")
+#: Backpressure policies a subscriber's cursor can follow.
+POLICIES = ("block", "drop-oldest", "downsample")
 
 
 class BroadcastRing:
@@ -111,14 +104,13 @@ class RingCursor:
     this cursor consumed them (``drop-oldest`` pressure — the "evicted"
     kind), ``skipped_frames``/``skipped_samples`` are frames the
     ``downsample`` policy deliberately thinned.  ``dropped`` is their
-    sum: exactly one increment per frame this subscriber lost, mirroring
-    the :class:`~repro.server.backpressure.SendBuffer` contract.
+    sum: exactly one increment per frame this subscriber lost.
     """
 
     def __init__(self, ring: BroadcastRing, policy: str = "block") -> None:
-        if policy not in CURSOR_POLICIES:
+        if policy not in POLICIES:
             raise ConfigurationError(
-                f"unknown cursor policy {policy!r} (choose from {CURSOR_POLICIES})"
+                f"unknown cursor policy {policy!r} (choose from {POLICIES})"
             )
         self.ring = ring
         self.policy = policy

@@ -25,8 +25,8 @@ def make_loaded_setup(
 ) -> SimulatedSetup:
     """A one-module bench driving a constant load (shared helper).
 
-    Extra keyword arguments (``faults``, ``recovery``, ``vectorized``,
-    ``registry``, ...) pass straight through to :class:`SimulatedSetup`.
+    Extra keyword arguments (``faults``, ``recovery``, ``registry``, ...)
+    pass straight through to :class:`SimulatedSetup`.
     """
     setup = SimulatedSetup(
         [module],

@@ -1,11 +1,10 @@
 """The asyncio broadcast-ring server core and its bug-sweep regressions.
 
-Covers the ring/cursor primitives, the exact drop-accounting semantics
-of both engines, byte-identical equivalence between the asyncio and
-thread-per-client servers, and the four bug regressions: dry-reference
-pacing, the hardcoded handshake deadline, the client-thread/socket leak,
-and double-counted drops.  The 256-subscriber fan-out tests are gated
-behind ``PS_SCALING=1`` (they run in the CI server-smoke job).
+Covers the ring/cursor primitives with their exact drop-accounting
+semantics, and the four bug regressions: dry-reference pacing, the
+hardcoded handshake deadline, the client-thread/socket leak, and
+double-counted drops.  The 256-subscriber fan-out tests are gated behind
+``PS_SCALING=1`` (they run in the CI server-smoke job).
 """
 
 from __future__ import annotations
@@ -25,14 +24,11 @@ from repro.core.replay import ReplaySampleSource
 from repro.firmware.commands import Command
 from repro.server import (
     BroadcastRing,
-    BufferTimeout,
     FrameDecoder,
     FrameType,
     PowerSensorServer,
     RemoteLink,
     RingCursor,
-    SendBuffer,
-    ThreadedPowerSensorServer,
     encode_frame,
 )
 from repro.server.client import CONNECT_BACKOFF
@@ -41,9 +37,6 @@ from repro.server.wire import encode_control
 from tests.conftest import make_loaded_setup
 from tests.test_fleet import record_tape
 
-ENGINES = [PowerSensorServer, ThreadedPowerSensorServer]
-ENGINE_IDS = ["async", "threaded"]
-
 scaling = pytest.mark.skipif(
     not os.environ.get("PS_SCALING"),
     reason="256-subscriber fan-out test; set PS_SCALING=1 to run",
@@ -51,26 +44,22 @@ scaling = pytest.mark.skipif(
 
 
 @contextmanager
-def served_engine(
+def served_daemon(
     tmp_path,
-    cls,
     *,
     duration=0.2,
     wait_clients=1,
     policy="block",
     chunk=400,
-    seed=0,
     buffer_frames=256,
     max_clients=64,
     client_timeout=5.0,
     time_scale=0.0,
 ):
-    """Like test_server.served, but with a selectable engine class."""
-    setup = make_loaded_setup(
-        amps=8.0, direct=False, seed=seed, calibration_samples=1024
-    )
+    """Like test_server.served, with the ring and timeout knobs exposed."""
+    setup = make_loaded_setup(amps=8.0, direct=False, calibration_samples=1024)
     setup.source.start()
-    server = cls(
+    server = PowerSensorServer(
         setup.source,
         f"unix:{tmp_path / 'engine.sock'}",
         policy=policy,
@@ -194,93 +183,11 @@ def test_cursor_rebase_joins_live_edge_without_loss():
 
 
 # --------------------------------------------------------------------- #
-# SendBuffer drop accounting (satellite: drop audit)                    #
-# --------------------------------------------------------------------- #
-
-
-def test_sendbuffer_block_never_drops():
-    buf = SendBuffer(policy="block", max_frames=2, block_timeout=0.05)
-    assert buf.put(b"a") and buf.put(b"b")
-    with pytest.raises(BufferTimeout):
-        buf.put(b"c")
-    assert buf.dropped == 0
-    assert buf.dropped_oldest == 0 and buf.dropped_newest == 0
-
-
-def test_sendbuffer_drop_oldest_counts_evicted_frame_once():
-    buf = SendBuffer(policy="drop-oldest", max_frames=2)
-    assert buf.put(b"a") and buf.put(b"b")
-    assert buf.put(b"c")  # evicts a — one lost frame, one count
-    assert buf.dropped_oldest == 1
-    assert buf.dropped_newest == 0
-    assert buf.dropped == 1
-    assert buf.get(timeout=0) == b"b" and buf.get(timeout=0) == b"c"
-
-
-def test_sendbuffer_drop_oldest_refused_newcomer_is_counted_as_newest():
-    buf = SendBuffer(policy="drop-oldest", max_frames=1)
-    assert buf.put(b"eos", droppable=False)
-    assert not buf.put(b"data")  # nothing droppable to evict
-    assert buf.dropped_newest == 1 and buf.dropped_oldest == 0
-    assert buf.dropped == 1
-    assert buf.get(timeout=0) == b"eos"
-
-
-def test_sendbuffer_downsample_split_matches_pinned_sequence():
-    buf = SendBuffer(policy="downsample", max_frames=2)
-    results = [buf.put(f"f{i}".encode()) for i in range(6)]
-    # Pinned: two uncontended, then alternate skip/evict under pressure.
-    assert results == [True, True, False, True, False, True]
-    assert buf.dropped_newest == 2  # the skipped arrivals
-    assert buf.dropped_oldest == 2  # the evicted queue heads
-    assert buf.dropped == 4  # exactly one count per lost frame
-
-
-# --------------------------------------------------------------------- #
-# Engine equivalence: async stream == threaded stream, byte for byte    #
-# --------------------------------------------------------------------- #
-
-
-def _collect_stream(spec, mode="raw", window=1):
-    """Subscribe once and collect every DATA/WINDOW frame until EOS."""
-    link = RemoteLink(spec, mode=mode, window=window, recovery=None)
-    link.write(Command.START_STREAMING.value)
-    frames = []
-    while True:
-        frame = link.next_data()
-        if frame is None:
-            break
-        frames.append((int(frame.type), frame.seq, frame.payload))
-    hello, suback, eos = link.hello, link.suback, link.eos
-    link.close()
-    return hello, suback, frames, eos
-
-
-@pytest.mark.parametrize("mode,window", [("raw", 1), ("window", 8)])
-def test_async_and_threaded_streams_are_byte_identical(tmp_path, mode, window):
-    captures = []
-    for cls in ENGINES:
-        with served_engine(tmp_path, cls, duration=0.2, seed=11) as server:
-            captures.append(_collect_stream(server.address, mode=mode, window=window))
-    (hello_a, suback_a, frames_a, eos_a) = captures[0]
-    (hello_t, suback_t, frames_t, eos_t) = captures[1]
-    assert hello_a == hello_t
-    assert suback_a == suback_t
-    assert len(frames_a) == len(frames_t) > 0
-    assert frames_a == frames_t  # type, sequence and payload bytes
-    for eos in (eos_a, eos_t):
-        assert eos is not None and eos["frames_dropped"] == 0
-    assert eos_a["samples_sent"] == eos_t["samples_sent"]
-    assert eos_a["frames_sent"] == eos_t["frames_sent"]
-
-
-# --------------------------------------------------------------------- #
 # Bugfix regression: dry-reference pacing busy-spin                     #
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("cls", ENGINES, ids=ENGINE_IDS)
-def test_pacing_survives_replay_tape_exhaustion(tmp_path, cls):
+def test_pacing_survives_replay_tape_exhaustion(tmp_path):
     """A dried finite tape must not freeze the pacing clock.
 
     The tape replays at 8x, making it the fastest device — the pacing
@@ -294,7 +201,7 @@ def test_pacing_survives_replay_tape_exhaustion(tmp_path, cls):
     setup.source.start()
     tape = ReplaySampleSource(tape_file, speed=8.0)
     assert tape.sample_rate > setup.source.sample_rate
-    server = cls(
+    server = PowerSensorServer(
         {"sim": setup.source, "tape": tape},
         f"unix:{tmp_path / 'pace.sock'}",
         time_scale=1.0,
@@ -323,7 +230,7 @@ def test_pacing_survives_replay_tape_exhaustion(tmp_path, cls):
 
 
 def test_handshake_timeout_derives_from_recovery_policy(tmp_path):
-    with served_engine(tmp_path, PowerSensorServer, duration=0.05) as server:
+    with served_daemon(tmp_path, duration=0.05) as server:
         policy = RecoveryPolicy(max_retries=3, backoff_factor=2.0, max_retry_seconds=0.1)
         link = RemoteLink(server.address, recovery=policy, connect_timeout=2.0)
         expected = 2.0 + sum(policy.backoff_delays(CONNECT_BACKOFF))
@@ -373,7 +280,7 @@ def test_handshake_deadline_exhaustion_respects_configured_budget():
 def test_handshake_succeeds_after_connect_retries(tmp_path):
     from repro.server.client import connect_stream
 
-    with served_engine(tmp_path, PowerSensorServer, duration=0.05) as server:
+    with served_daemon(tmp_path, duration=0.05) as server:
         attempts = {"n": 0}
 
         def flaky_factory(spec):
@@ -405,17 +312,12 @@ def _expect_type(sock, decoder, ftype, deadline=10.0):
     raise AssertionError(f"no {ftype!r} frame within {deadline}s")
 
 
-@pytest.mark.parametrize("cls", ENGINES, ids=ENGINE_IDS)
-def test_client_churn_leaves_no_thread_or_socket_leak(tmp_path, cls):
-    """100 connect/kill cycles; registrations and threads return to baseline.
-
-    Before the fix a reader/sender death could leave the threaded client
-    registered with an open socket and a live peer thread.
-    """
+def test_client_churn_leaves_no_thread_or_socket_leak(tmp_path):
+    """100 connect/kill cycles; registrations and threads return to baseline."""
     setup = make_loaded_setup(amps=8.0, direct=False, seed=5, calibration_samples=1024)
     setup.source.start()
     sock_path = str(tmp_path / "churn.sock")
-    server = cls(
+    server = PowerSensorServer(
         setup.source,
         f"unix:{sock_path}",
         policy="block",
@@ -460,8 +362,7 @@ def test_client_churn_leaves_no_thread_or_socket_leak(tmp_path, cls):
         setup.close()
 
 
-@pytest.mark.parametrize("cls", ENGINES, ids=ENGINE_IDS)
-def test_wait_clients_rendezvous_survives_a_crashed_starter(tmp_path, cls):
+def test_wait_clients_rendezvous_survives_a_crashed_starter(tmp_path):
     """A subscriber that STARTs and dies still counts toward wait_clients.
 
     Before the fix the rendezvous counted *live* started clients, so one
@@ -469,7 +370,7 @@ def test_wait_clients_rendezvous_survives_a_crashed_starter(tmp_path, cls):
     the server forever (the survivors then never saw a single frame).
     """
     sock_path = str(tmp_path / "engine.sock")
-    with served_engine(tmp_path, cls, duration=0.1, wait_clients=2) as server:
+    with served_daemon(tmp_path, duration=0.1, wait_clients=2) as server:
         # Client A: full handshake, START, then die abruptly.
         a = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         a.settimeout(10.0)
@@ -515,9 +416,8 @@ def test_wait_clients_rendezvous_survives_a_crashed_starter(tmp_path, cls):
 
 def test_fanout_encodes_each_frame_exactly_once(tmp_path):
     n_clients = 16
-    with served_engine(
+    with served_daemon(
         tmp_path,
-        PowerSensorServer,
         duration=0.2,
         wait_clients=n_clients,
         max_clients=n_clients + 4,
@@ -542,9 +442,8 @@ def test_drop_oldest_cursor_gap_accounting_stays_truthful(tmp_path):
     lapped; losses are then guaranteed, not timing-dependent.
     """
     n_clients = 4
-    with served_engine(
+    with served_daemon(
         tmp_path,
-        PowerSensorServer,
         duration=6.0,
         wait_clients=n_clients,
         policy="drop-oldest",
@@ -660,7 +559,7 @@ def test_pipelined_start_split_across_subscribe_read_survives(tmp_path):
     started.
     """
     sock_path = str(tmp_path / "engine.sock")
-    with served_engine(tmp_path, PowerSensorServer, duration=0.05):
+    with served_daemon(tmp_path, duration=0.05):
         s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         s.settimeout(10.0)
         s.connect(sock_path)
@@ -696,12 +595,9 @@ def test_window_accumulator_resets_after_last_subscriber_leaves(tmp_path):
     Chunk 400 with window 7 leaves a partial fold every tick; when the
     last subscriber goes away that leftover must be discarded, so a
     future subscriber's first WINDOW never averages samples from both
-    sides of an arbitrarily long gap (the threaded engine's fresh
-    per-client accumulator never could).
+    sides of an arbitrarily long gap.
     """
-    with served_engine(
-        tmp_path, PowerSensorServer, duration=30.0, time_scale=1.0
-    ) as server:
+    with served_daemon(tmp_path, duration=30.0, time_scale=1.0) as server:
         link = RemoteLink(server.address, mode="window", window=7, recovery=None)
         link.write(Command.START_STREAMING.value)
         for _ in range(3):
@@ -726,9 +622,8 @@ def test_downsample_eos_reports_delivered_not_pending(tmp_path):
     what the subscriber ever received.
     """
     n_clients = 4
-    with served_engine(
+    with served_daemon(
         tmp_path,
-        PowerSensorServer,
         duration=6.0,
         wait_clients=n_clients,
         policy="downsample",
@@ -766,9 +661,8 @@ def test_downsample_eos_reports_delivered_not_pending(tmp_path):
 @scaling
 def test_scaling_256_subscribers_block_is_lossless(tmp_path):
     n_clients = 256
-    with served_engine(
+    with served_daemon(
         tmp_path,
-        PowerSensorServer,
         duration=0.5,
         wait_clients=n_clients,
         policy="block",
@@ -794,9 +688,8 @@ def test_scaling_256_subscribers_block_is_lossless(tmp_path):
 @scaling
 def test_scaling_256_subscribers_drop_oldest_gap_accounting(tmp_path):
     n_clients = 256
-    with served_engine(
+    with served_daemon(
         tmp_path,
-        PowerSensorServer,
         duration=6.0,
         wait_clients=n_clients,
         policy="drop-oldest",

@@ -3,8 +3,9 @@
 ``StreamDecoder`` is the reference: byte-at-a-time, obviously correct.
 These tests fuzz ``decode_block``/``BlockDecoder`` against it — same
 events, same resync/packet accounting, for every chunking of the input —
-and then pin the vectorised ``ProtocolSampleSource`` to the scalar source
-on byte-identical wire streams, clean and fault-injected.
+and then pin ``ProtocolSampleSource`` to a per-event sample-grouping
+oracle fed the exact wire bytes each read pulled, clean and
+fault-injected.
 """
 
 from __future__ import annotations
@@ -14,14 +15,18 @@ import pytest
 
 from repro.core.health import StreamHealth
 from repro.core.setup import SimulatedSetup
+from repro.core.sources import convert_codes
 from repro.dut.instruments import ElectronicLoad, LabSupply, LoadedSupplyRail
 from repro.firmware.protocol import (
     BlockDecoder,
     StreamDecoder,
+    Timestamp,
+    TimestampUnwrapper,
     decode_block,
     encode_sensor_packet,
     encode_timestamp_packet,
 )
+from repro.hardware.eeprom import SENSORS
 
 
 def _reference(chunks: list[bytes]) -> tuple[list, int, int, int | None]:
@@ -173,44 +178,116 @@ def test_block_decoder_reset_clears_state():
 
 
 # --------------------------------------------------------------------- #
-# Vectorised vs scalar ProtocolSampleSource                             #
+# ProtocolSampleSource vs the per-event reference                        #
 # --------------------------------------------------------------------- #
 
 _MODULES = ["pcie_slot_12v", "pcie8pin", "pcie_slot_3v3", "usbc"]
 _READS = (7, 64, 3, 128, 1, 500, 9)
 
 
-def _collect(n_pairs: int, faults: str | None, seed: int, vectorized: bool):
-    """Run one source over a deterministic read schedule; return its output."""
-    setup = SimulatedSetup(
-        _MODULES[:n_pairs],
-        seed=123,
-        calibration_samples=1024,
-        faults=faults,
-        fault_seed=seed,
-        vectorized=vectorized,
-    )
-    load = ElectronicLoad()
-    load.set_current(4.0)
-    setup.connect(0, LoadedSupplyRail(LabSupply(12.0), load))
+class _ScalarOracle:
+    """Per-event sample grouping: the reference the source is pinned to.
+
+    ``StreamDecoder`` events are grouped one at a time: a timestamp closes
+    the pending sample set once every enabled sensor has reported since
+    the last close, readings before the first timestamp have no time
+    anchor and are discarded, and incomplete sets carry into the next
+    buffer.  Times come from ``TimestampUnwrapper.update``, values from
+    ``convert_codes``.
+    """
+
+    def __init__(self, configs) -> None:
+        self.configs = list(configs)
+        self.n_enabled = sum(1 for c in self.configs if c.enabled)
+        self.decoder = StreamDecoder()
+        self.unwrapper = TimestampUnwrapper()
+        self.pending: dict[int, int] = {}
+        self.pending_marker = False
+        self.have_timestamp = False
+        self.time = 0.0
+        self.bytes_read = 0
+        self.samples_decoded = 0
+
+    def counters(self) -> dict[str, int]:
+        return {
+            "bytes_read": self.bytes_read,
+            "packets_decoded": self.decoder.packet_count,
+            "packets_dropped": self.decoder.resync_count,
+            "samples_decoded": self.samples_decoded,
+        }
+
+    def decode(self, data: bytes):
+        """One buffer to ``(times, values, markers, enabled)``."""
+        times: list[float] = []
+        rows: list[np.ndarray] = []
+        markers: list[bool] = []
+        self.bytes_read += len(data)
+
+        def flush() -> None:
+            if not self.have_timestamp or len(self.pending) < self.n_enabled:
+                return
+            row = np.zeros(SENSORS, dtype=np.int64)
+            for sensor, value in self.pending.items():
+                row[sensor] = value
+            times.append(self.time)
+            rows.append(row)
+            markers.append(self.pending_marker)
+            self.pending = {}
+            self.pending_marker = False
+
+        for event in self.decoder.feed(data):
+            if isinstance(event, Timestamp):
+                flush()
+                self.time = self.unwrapper.update(event.micros)
+                self.have_timestamp = True
+            elif self.have_timestamp:
+                self.pending[event.sensor] = event.value
+                self.pending_marker = self.pending_marker or event.marker
+        flush()
+        self.samples_decoded += len(times)
+        codes = np.array(rows, dtype=np.int64).reshape(-1, SENSORS)
+        values, enabled = convert_codes(codes, self.configs)
+        return np.array(times, dtype=float), values, np.array(markers, dtype=bool), enabled
+
+
+def _run_source(setup: SimulatedSetup, reads, mark_before):
+    """Read ``reads`` from the bench's source, keeping the bytes each pulled.
+
+    Wraps the source's ``link.pump_samples`` so the oracle decodes exactly
+    the wire bytes every ``read_block`` call decoded.
+    """
     source = setup.source
+    pulled: list[bytes] = []
+    pump = source.link.pump_samples
+
+    def recording_pump(n):
+        data = pump(n)
+        pulled.append(bytes(data))
+        return data
+
+    source.link.pump_samples = recording_pump
     source.start()
     blocks = []
-    for i, n in enumerate(_READS):
-        if i % 2:
+    for i, n in enumerate(reads):
+        if mark_before(i):
             source.mark()
         blocks.append(source.read_block(n))
     source.stop()
-    times = np.concatenate([b.times for b in blocks])
-    values = np.concatenate([b.values for b in blocks])
-    markers = np.concatenate([b.markers for b in blocks])
-    health = source.health.as_dict()
-    # StreamHealth is a view over registry counters: both sides of the
-    # view must agree byte-for-byte in every fuzzed fault scenario.
-    assert health == StreamHealth.counters_in(setup.registry)
-    enabled = blocks[0].enabled
-    setup.close()
-    return times, values, markers, health, enabled
+    assert len(pulled) == len(blocks)
+    return blocks, pulled
+
+
+def _assert_matches_oracle(setup: SimulatedSetup, blocks, pulled) -> None:
+    """Every block equals the oracle's decode of its bytes, bit for bit."""
+    oracle = _ScalarOracle(setup.source.configs)
+    for block, data in zip(blocks, pulled):
+        times, values, markers, enabled = oracle.decode(data)
+        assert np.array_equal(block.times, times)
+        assert np.array_equal(block.values, values)
+        assert np.array_equal(block.markers, markers)
+        assert np.array_equal(block.enabled, enabled)
+    health = setup.source.health.as_dict()
+    assert {key: health[key] for key in oracle.counters()} == oracle.counters()
 
 
 @pytest.mark.parametrize(
@@ -230,45 +307,33 @@ def _collect(n_pairs: int, faults: str | None, seed: int, vectorized: bool):
     ],
 )
 def test_vectorized_source_matches_scalar(n_pairs, faults, seed):
-    """Byte-identical wire streams must decode byte-identically.
+    """Each read decodes exactly as the per-event reference decodes its bytes.
 
-    Two independent benches with the same seeds produce the same wire
-    bytes (fault injection included); the vectorised and scalar decoders
-    must then agree exactly — samples, markers, and health accounting.
+    Samples, markers and the decode counters of ``StreamHealth`` must
+    agree in every fuzzed fault scenario, read by read.
     """
-    v_times, v_values, v_markers, v_health, v_enabled = _collect(
-        n_pairs, faults, seed, vectorized=True
+    setup = SimulatedSetup(
+        _MODULES[:n_pairs],
+        seed=123,
+        calibration_samples=1024,
+        faults=faults,
+        fault_seed=seed,
     )
-    s_times, s_values, s_markers, s_health, s_enabled = _collect(
-        n_pairs, faults, seed, vectorized=False
-    )
-    assert np.array_equal(v_enabled, s_enabled)
-    assert np.array_equal(v_times, s_times)
-    assert np.array_equal(v_values, s_values)
-    assert np.array_equal(v_markers, s_markers)
-    assert v_health == s_health
+    load = ElectronicLoad()
+    load.set_current(4.0)
+    setup.connect(0, LoadedSupplyRail(LabSupply(12.0), load))
+    blocks, pulled = _run_source(setup, _READS, mark_before=lambda i: i % 2 == 1)
+    # StreamHealth is a view over registry counters: both sides of the
+    # view must agree byte-for-byte.
+    assert setup.source.health.as_dict() == StreamHealth.counters_in(setup.registry)
+    _assert_matches_oracle(setup, blocks, pulled)
+    setup.close()
 
 
 def test_vectorized_source_marker_interleaving_matches_scalar():
-    """Markers land on the same sample index on both decode paths."""
-    results = []
-    for vectorized in (True, False):
-        setup = SimulatedSetup(
-            _MODULES[:2],
-            seed=7,
-            calibration_samples=1024,
-            vectorized=vectorized,
-        )
-        source = setup.source
-        source.start()
-        marked = []
-        for n in (40, 25, 60, 10):
-            source.mark()
-            block = source.read_block(n)
-            marked.append(np.flatnonzero(block.markers))
-        source.stop()
-        setup.close()
-        results.append(marked)
-    vec, ref = results
-    assert all(np.array_equal(a, b) for a, b in zip(vec, ref))
-    assert sum(a.size for a in vec) == 4  # one marker attached per read
+    """Markers land on the same sample index as in the reference."""
+    setup = SimulatedSetup(_MODULES[:2], seed=7, calibration_samples=1024)
+    blocks, pulled = _run_source(setup, (40, 25, 60, 10), mark_before=lambda i: True)
+    _assert_matches_oracle(setup, blocks, pulled)
+    setup.close()
+    assert sum(np.count_nonzero(b.markers) for b in blocks) == 4  # one per read

@@ -170,6 +170,8 @@ def test_create_source_unknown_scheme_lists_known():
 def test_build_bench_rejects_unknown_options():
     with pytest.raises(ConfigurationError, match="unknown sim:// options"):
         build_bench("sim://pcie_slot_12v?frobnicate=1")
+    with pytest.raises(ConfigurationError, match="unknown sim:// options"):
+        build_bench("sim://pcie_slot_12v?vectorized=false")
     with pytest.raises(ConfigurationError, match="unknown device scheme"):
         build_bench("carrier://pigeon")
 
@@ -369,6 +371,57 @@ def test_fleet_mixes_sim_and_replay(tmp_path):
         health = fleet.health()
         assert set(health) == {"live", "tape"}
         assert not fleet.degraded
+
+
+#: A one-module, a two-module, a fault-injected and a direct-path member.
+MIXED_FLEET_SPECS = [
+    "sim://pcie_slot_12v?seed=1&device=a&calibrate=false",
+    "sim://pcie8pin,usbc?seed=2&device=b&calibrate=false",
+    "sim://pcie_slot_12v?seed=3&device=c&calibrate=false"
+    "&faults=drop:0.05,flip:0.01&fault_seed=5",
+    "sim://usbc?seed=4&device=d&calibrate=false&direct=true",
+]
+
+
+def _run_mixed_fleet():
+    """Five 30 ms ``read_all`` steps with ``mark_all`` mid-run."""
+    fleet = Fleet.from_specs(MIXED_FLEET_SPECS)
+    steps = []
+    for step in range(5):
+        if step == 2:
+            fleet.mark_all("X")
+        blocks = fleet.read_all(0.03)
+        steps.append(
+            {
+                name: (
+                    block.times.tobytes(),
+                    block.values.tobytes(),
+                    block.markers.tobytes(),
+                )
+                for name, block in blocks.items()
+            }
+        )
+    state = {
+        member.name: (
+            member.ps.read().consumed_energy,
+            member.ps.samples_seen,
+            member.ps.health.as_dict(),
+            list(member.ps.marker_log),
+        )
+        for member in fleet
+    }
+    fleet.close()
+    return steps, state
+
+
+def test_mixed_fleet_read_all_depends_only_on_seeds():
+    """Same specs, same seeds: byte-identical blocks and fleet state."""
+    first_steps, first_state = _run_mixed_fleet()
+    second_steps, second_state = _run_mixed_fleet()
+    assert second_steps == first_steps  # sample-for-sample, every device
+    assert second_state == first_state  # energy, health, markers
+    for name in ("a", "b", "d"):  # the members without injected faults
+        assert [char for _, char in first_state[name][3]] == ["X"]
 
 
 # --------------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""The serving layer: wire protocol, backpressure, daemon, remote sources.
+"""The serving layer: wire protocol, daemon, remote sources.
 
 The central claim under test: a :class:`RemoteSampleSource` fed by a
 psserve daemon is indistinguishable from a local
@@ -27,7 +27,6 @@ from repro.common.errors import (
 from repro.common.retry import DEFAULT_RECOVERY, RecoveryPolicy
 from repro.core import create_source
 from repro.server import (
-    BufferTimeout,
     Frame,
     FrameDecoder,
     FrameType,
@@ -35,7 +34,6 @@ from repro.server import (
     PowerSensorServer,
     RemoteSampleSource,
     RemoteSetup,
-    SendBuffer,
     connect_stream,
     encode_frame,
     pack_window,
@@ -242,62 +240,6 @@ def test_parse_endpoint_forms():
 def test_parse_endpoint_rejects(bad):
     with pytest.raises(ConfigurationError):
         parse_endpoint(bad)
-
-
-# --------------------------------------------------------------------- #
-# Backpressure                                                          #
-# --------------------------------------------------------------------- #
-
-
-def test_block_policy_times_out_when_full():
-    buf = SendBuffer(policy="block", max_frames=2, block_timeout=0.05)
-    assert buf.put(b"a") and buf.put(b"b")
-    with pytest.raises(BufferTimeout):
-        buf.put(b"c")
-    assert buf.dropped == 0  # block never silently drops
-
-
-def test_block_policy_unblocks_when_drained():
-    buf = SendBuffer(policy="block", max_frames=1, block_timeout=5.0)
-    buf.put(b"a")
-    threading.Timer(0.02, buf.get, kwargs={"timeout": 0.1}).start()
-    assert buf.put(b"b") is True  # the drain made room within the timeout
-    assert buf.get(timeout=0.1) == b"b"
-
-
-def test_drop_oldest_keeps_the_newest():
-    buf = SendBuffer(policy="drop-oldest", max_frames=3)
-    for frame in (b"1", b"2", b"3", b"4", b"5"):
-        buf.put(frame)
-    assert buf.dropped == 2
-    assert [buf.get(0.1) for _ in range(3)] == [b"3", b"4", b"5"]
-
-
-def test_drop_oldest_never_drops_control_frames():
-    buf = SendBuffer(policy="drop-oldest", max_frames=2)
-    buf.put(b"eos", droppable=False)
-    buf.put(b"d1")
-    buf.put(b"d2")  # full: the droppable d1 goes, never the control frame
-    assert buf.dropped == 1
-    assert [buf.get(0.1), buf.get(0.1)] == [b"eos", b"d2"]
-
-
-def test_downsample_drops_alternate_frames_under_pressure():
-    buf = SendBuffer(policy="downsample", max_frames=2)
-    results = [buf.put(bytes([i])) for i in range(6)]
-    # No pressure for the first two, then every second arrival is kept
-    # (each kept one also evicting the oldest queued frame).
-    assert results == [True, True, False, True, False, True]
-    assert buf.dropped == 4  # 2 skipped arrivals + 2 evicted oldest
-
-
-def test_closed_buffer_rejects_and_unblocks():
-    buf = SendBuffer(policy="block", max_frames=1)
-    buf.put(b"a")
-    buf.close()
-    assert buf.put(b"b") is False
-    assert buf.get(timeout=0.1) == b"a"  # drain what was queued
-    assert buf.get(timeout=0.1) is None
 
 
 # --------------------------------------------------------------------- #

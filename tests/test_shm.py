@@ -10,10 +10,6 @@ Three layers of pinning for the shared-memory producer path:
 * lifecycle — lazy worker launch, duplicate START, producer crash
   surfacing as the usual stall/recovery path, and close() leaving no
   /dev/shm segment behind.
-
-The fleet's vectorised ``read_all`` is pinned sample-for-sample (and
-state-for-state) against the historical per-member loop here too, since
-both rewrites shipped together.
 """
 
 from __future__ import annotations
@@ -296,55 +292,6 @@ def test_ring_too_small_for_batch_surfaces_as_producer_error():
     assert len(block) == 0
     assert "does not fit" in (src.bench.link.producer_error or "")
     src.bench.close()
-
-
-# --------------------------------------------------------------------- #
-# Fleet: vectorised read_all pinned against the per-member loop         #
-# --------------------------------------------------------------------- #
-
-FLEET_SPECS = [
-    "sim://pcie_slot_12v?seed=1&device=a&calibrate=false",
-    "sim://pcie8pin,usbc?seed=2&device=b&calibrate=false",
-    "sim://pcie_slot_12v?seed=3&device=c&calibrate=false"
-    "&faults=drop:0.05,flip:0.01&fault_seed=5",
-    "sim://usbc?seed=4&device=d&calibrate=false&direct=true",
-]
-
-
-def _run_fleet_steps(vectorized):
-    fleet = Fleet()
-    for spec in FLEET_SPECS:
-        fleet.add_spec(spec)
-    steps = []
-    for step in range(5):
-        if step == 2:
-            fleet.mark_all("X")
-        block = fleet.read_all(0.03, vectorized=vectorized)
-        steps.append(
-            {
-                name: (block[name].times.tobytes(), block[name].values.tobytes())
-                for name in block
-            }
-        )
-    state = {
-        name: (
-            member.ps._energy.tobytes(),
-            member.ps.samples_seen,
-            member.ps.health.gaps_bridged,
-            member.ps.health.empty_reads,
-            member.ps.marker_log,
-        )
-        for name, member in ((n, fleet[n]) for n in fleet.names)
-    }
-    fleet.close()
-    return steps, state
-
-
-def test_fleet_read_all_vectorized_matches_loop():
-    loop_steps, loop_state = _run_fleet_steps(vectorized=False)
-    vec_steps, vec_state = _run_fleet_steps(vectorized=True)
-    assert vec_steps == loop_steps  # sample-for-sample, every device
-    assert vec_state == loop_state  # energy, health, markers
 
 
 def test_fleet_spec_accepts_producer_options():
