@@ -19,8 +19,10 @@ Compares the ``server.scaling`` section of a freshly generated report
   20 kHz aggregate delivery — the paper-level floor for a fan-out that
   is still "real time" for at least one subscriber's worth of stream;
 * the producer-ring end-to-end ``read_block`` rate (the hot-ring
-  consumer path in the ``producer`` section) regresses by more than
-  ``--max-regression`` percent against the committed baseline;
+  consumer path in the ``producer`` section) or the sustained
+  single-core rate (inline production, device simulation included)
+  regresses by more than ``--max-regression`` percent against the
+  committed baseline;
 * the telemetry store (``store`` section, when present) breaks one of
   its structural guarantees — a tiered query returning more than its
   ``max_points`` budget, or falling under ``--min-tiered-speedup``
@@ -102,20 +104,21 @@ def check(
                     f"expected={point.get('frames_expected')})"
                 )
 
-    base_rb = baseline.get("producer", {}).get("read_block_samples_per_s")
-    cur_rb = current.get("producer", {}).get("read_block_samples_per_s")
-    if cur_rb is not None and base_rb is not None:
-        floor = base_rb * (1.0 - max_regression / 100.0)
-        line = (
-            f"producer-ring read_block rate: {cur_rb}/s "
-            f"(baseline {base_rb}/s, floor {floor:.0f}/s)"
-        )
-        if cur_rb < floor:
-            failures.append(f"REGRESSION {line}")
-        else:
-            print(f"ok: {line}")
-    elif base_rb is not None:
-        failures.append("current report has no producer.read_block_samples_per_s")
+    for key, label in (
+        ("read_block_samples_per_s", "producer-ring read_block rate"),
+        ("sustained_samples_per_s", "producer sustained rate"),
+    ):
+        base_rate = baseline.get("producer", {}).get(key)
+        cur_rate = current.get("producer", {}).get(key)
+        if cur_rate is not None and base_rate is not None:
+            floor = base_rate * (1.0 - max_regression / 100.0)
+            line = f"{label}: {cur_rate}/s (baseline {base_rate}/s, floor {floor:.0f}/s)"
+            if cur_rate < floor:
+                failures.append(f"REGRESSION {line}")
+            else:
+                print(f"ok: {line}")
+        elif base_rate is not None:
+            failures.append(f"current report has no producer.{key}")
 
     cur_store = current.get("store")
     base_store = baseline.get("store", {})

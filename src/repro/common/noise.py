@@ -97,8 +97,8 @@ class OrnsteinUhlenbeckNoise:
         innov_sigma = self.sigma * np.sqrt(np.maximum(1.0 - rhos**2, 0.0))
         innovations = self._rng.normal(0.0, 1.0, size=n) * innov_sigma
 
-        # Sequential recurrence; chunk sizes here are modest (the vectorised
-        # fast path in repro.core uses sample_fast below).
+        # Sequential recurrence for arbitrary time grids; the sensors' uniform
+        # ADC scan grid uses the vectorised sample_uniform below.
         x = prev_x
         for i in range(n):
             x = rhos[i] * x + innovations[i]
@@ -111,10 +111,9 @@ class OrnsteinUhlenbeckNoise:
     def sample_uniform(self, start: float, dt: float, n: int) -> np.ndarray:
         """Vectorised sampling on a uniform grid ``start + i*dt``.
 
-        Equivalent in distribution to :meth:`sample` on the same grid but
-        O(n) with numpy scan-free vectorisation (log-space prefix trick is
-        unnecessary: with constant rho the recurrence is an AR(1) filter,
-        evaluated with a cumulative product formulation).
+        Equivalent in distribution to :meth:`sample` on the same grid.  With
+        a constant grid step, rho is constant and the recurrence is an AR(1)
+        filter, which :func:`_ar1_filter` evaluates in one ``lfilter`` pass.
         """
         if n <= 0:
             return np.zeros(0)

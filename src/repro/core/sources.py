@@ -361,9 +361,16 @@ class ProtocolSampleSource(SampleSource):
         )
 
     def _convert(self, codes: np.ndarray) -> np.ndarray:
-        """Codes (n, 8) to physical units with the cached per-sensor arrays."""
-        adc_volts = (codes.astype(float) + 0.5) * ADC_LSB
-        values = (adc_volts - self._vref) / self._slope
+        """Codes (n, 8) to physical units with the cached per-sensor arrays.
+
+        In place on one buffer: fewer block-sized temporaries keep the
+        allocator from returning and re-faulting heap pages every block.
+        """
+        values = codes.astype(float)
+        values += 0.5
+        values *= ADC_LSB
+        values -= self._vref
+        values /= self._slope
         values[:, ~self._enabled_mask] = 0.0
         return values
 

@@ -44,6 +44,34 @@ class PowerTrace:
     def watts(self) -> np.ndarray:
         return self.volts * self.amps
 
+    def hold_index(self, times: np.ndarray) -> np.ndarray:
+        """Index of the point whose state holds at each of ``times``.
+
+        ``times`` must be a non-decreasing 1-D array.  The result equals
+        ``clip(searchsorted(self.times, times, "right") - 1, 0, N - 1)``
+        exactly, but only the slice of the trace between the first and
+        last query is searched, so the cost follows the query block, not
+        the trace length.
+        """
+        times = np.asarray(times, dtype=float)
+        n = times.size
+        if n == 0:
+            return np.zeros(0, dtype=np.intp)
+        if times.ndim != 1 or np.any(times[1:] < times[:-1]):
+            raise MeasurementError("query times must be a non-decreasing 1-D array")
+        lo, hi = np.searchsorted(self.times, (times[0], times[-1]), side="right")
+        span = self.times[lo:hi]
+        if span.size <= n:
+            # Queries denser than the trace (a rail read at the ADC scan
+            # rate): place each trace point among the queries, then count
+            # the points at or before each query.
+            first = np.searchsorted(times, span, side="left")
+            idx = np.cumsum(np.bincount(first, minlength=n))
+        else:
+            idx = np.searchsorted(span, times, side="right")
+        idx += lo - 1
+        return np.clip(idx, 0, self.times.size - 1, out=idx)
+
     @property
     def duration(self) -> float:
         return float(self.times[-1] - self.times[0])
@@ -117,10 +145,8 @@ class TraceRail:
         self.offset = float(offset)
 
     def sample_uniform(self, start: float, dt: float, n: int):
-        times = start - self.offset + dt * np.arange(n)
-        idx = np.searchsorted(self.trace.times, times, side="right") - 1
-        idx = np.clip(idx, 0, self.trace.times.size - 1)
-        return self.trace.volts[idx].copy(), self.trace.amps[idx].copy()
+        idx = self.trace.hold_index(start - self.offset + dt * np.arange(n))
+        return self.trace.volts[idx], self.trace.amps[idx]
 
 
 class CabledRail:

@@ -196,18 +196,19 @@ class Gpu:
         """
         times = np.arange(0.0, t_end + dt, dt)
         power = np.full(times.size, self.spec.idle_watts)
-        for launch in sorted(self.launches, key=lambda k: k.start):
-            mask = (times >= launch.start) & (times < launch.start + launch.duration)
-            power[mask] = self._active_power(times[mask], launch)
-            # Idle-return tail after this launch (overwritten by a
-            # subsequent launch if one follows immediately).
+        # Each launch owns the points from its start to the next launch's
+        # start (a later start, or a tie listed later, takes over): active
+        # power until it stops, then its idle-return tail.
+        launches = sorted(self.launches, key=lambda k: k.start)
+        firsts = np.searchsorted(times, [k.start for k in launches])
+        for launch, lo, hi in zip(launches, firsts, [*firsts[1:], times.size]):
             stop = launch.start + launch.duration
-            tail = times >= stop
+            mid = min(int(np.searchsorted(times, stop)), hi)
+            power[lo:mid] = self._active_power(times[lo:mid], launch)
             steady = self._steady_power(launch)
-            tail_power = self.spec.idle_watts + (
+            power[mid:hi] = self.spec.idle_watts + (
                 0.35 * (steady - self.spec.idle_watts)
-            ) * np.exp(-(times[tail] - stop) / self.spec.idle_return_tau_s)
-            power[tail] = tail_power
+            ) * np.exp(-(times[mid:hi] - stop) / self.spec.idle_return_tau_s)
         # Small fluctuation of real board power (VRM ripple, fan, ...).
         power = power + self.rng.normal(0.0, 0.15, size=power.shape)
         power = np.clip(power, 0.8 * self.spec.idle_watts, None)
@@ -257,11 +258,15 @@ class Gpu:
     # ------------------------------------------------------------------ #
 
     def rails(self, trace: PowerTrace) -> dict[str, SplitRail]:
-        """Split a board trace into the three physical feeds of a PCIe card."""
+        """Split a board trace into the three physical feeds of a PCIe card.
+
+        The rails read the trace's power as it is when they are built, so
+        the trace must not be modified afterwards.
+        """
+        watts = trace.watts
+
         def total_watts(times: np.ndarray) -> np.ndarray:
-            idx = np.searchsorted(trace.times, times, side="right") - 1
-            idx = np.clip(idx, 0, trace.times.size - 1)
-            return trace.watts[idx]
+            return watts[trace.hold_index(times)]
 
         spec = self.spec
         return {

@@ -57,6 +57,9 @@ class Baseboard:
 
     def __init__(self, timing: AdcTiming | None = None) -> None:
         self.timing = timing or AdcTiming()
+        if self.timing.resolution_bits > 15:
+            # read_codes holds the codes in int16.
+            raise ConfigurationError("ADC resolution above 15 bits is not supported")
         self.adc = Adc(bits=self.timing.resolution_bits)
         self.slots: list[SensorChannel | None] = [None] * SLOTS
         self.display = Display()
@@ -98,13 +101,13 @@ class Baseboard:
     def read_codes(self, start: float, n_output: int) -> np.ndarray:
         """Raw ADC codes for ``n_output`` output samples starting at ``start``.
 
-        Returns an int array of shape ``(n_output, averages, channels)``.
+        Returns an int16 array of shape ``(n_output, averages, channels)``.
         Channel ``2*slot`` carries the slot's current sensor, ``2*slot + 1``
         its voltage sensor; unpopulated channels read code 0.
         """
         t = self.timing
         total_sub = n_output * t.averages
-        codes = np.zeros((n_output, t.averages, CHANNELS), dtype=np.int64)
+        codes = np.zeros((n_output, t.averages, CHANNELS), dtype=np.int16)
         for channel in self.populated_slots():
             slot = channel.slot
             if channel.rail is not None:
@@ -132,5 +135,5 @@ class Baseboard:
     def averaged_codes(self, start: float, n_output: int) -> np.ndarray:
         """Firmware-style averaged 10-bit values, shape (n_output, channels)."""
         raw = self.read_codes(start, n_output)
-        summed = raw.sum(axis=1)
+        summed = raw.sum(axis=1, dtype=np.int64)
         return (summed + self.timing.averages // 2) // self.timing.averages

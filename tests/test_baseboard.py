@@ -6,6 +6,7 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RngStream
 from repro.dut.base import ConstantRail
+from repro.hardware.adc import AdcTiming
 from repro.hardware.baseboard import CHANNELS, Baseboard
 from repro.hardware.modules import SensorModule
 
@@ -54,6 +55,13 @@ def test_read_codes_shape():
     board.connect(0, ConstantRail(12.0, 2.0))
     codes = board.read_codes(0.0, 10)
     assert codes.shape == (10, board.timing.averages, CHANNELS)
+    assert codes.dtype == np.int16
+    assert board.averaged_codes(0.0, 10).dtype == np.int64
+
+
+def test_resolution_beyond_int16_codes_rejected():
+    with pytest.raises(ConfigurationError, match="15 bits"):
+        Baseboard(AdcTiming(resolution_bits=16))
 
 
 def test_unpopulated_channels_read_zero():
