@@ -13,9 +13,10 @@ The report compares three stages of the receive/persist pipeline:
   producing the bytes (the device side bounds this number; the host-side
   share is the decode row above).
 * **producer** — ``read_block`` through the shared producer ring
-  (``producer=`` specs): the consumer path against a pre-filled ring
-  (what the ring buys once a producer core keeps it ahead), and the
-  honest single-core sustained rate with inline production.
+  (``producer=`` specs): the consumer path against a ring pre-filled by
+  a forked producer (what the ring buys once a producer core keeps it
+  ahead), and the honest single-core sustained rate on the plain path,
+  which gives the same stream.
 * **dump I/O** — ``DumpWriter``/``DumpReader`` on a tmpfs file, against
   the recorded throughput of the row-loop writer and the pure
   ``np.loadtxt`` reader they replaced.
@@ -74,6 +75,7 @@ import numpy as np
 from repro.core.dump import DumpReader, DumpWriter
 from repro.core.setup import SimulatedSetup
 from repro.observability import MetricsRegistry
+from repro.transport import shm
 
 _MODULES = ["pcie_slot_12v", "pcie8pin", "pcie_slot_3v3", "usbc"]
 
@@ -122,54 +124,61 @@ def bench_decode(n_samples: int, repeat: int) -> dict:
 
 
 def bench_producer(n_samples: int, repeat: int) -> dict:
-    """End-to-end ``read_block`` with the producer ring decoupling.
+    """End-to-end ``read_block`` with and without the producer ring.
 
     Two numbers, deliberately split:
 
     * ``read_block_samples_per_s`` — the consumer path alone (ring pop,
-      zero-copy view into decode) against a pre-filled ring, i.e. the
-      steady state when a producer core keeps the ring ahead of the
+      zero-copy view into decode): a ``process`` producer pre-fills the
+      ring and exactly the buffered records are timed, i.e. the steady
+      state when a producer core keeps the ring ahead of the consumer.
+      The simulation runs in the forked producer, never in the timed
       consumer.  This is what the ring buys architecturally and the
       number the regression gate tracks.
     * ``sustained_samples_per_s`` — production + consumption on one
-      core (inline producer, nothing hidden): the honest single-CPU
-      rate, bounded by device simulation exactly like the classic path.
+      core through the plain path (no producer; the same stream): the
+      honest single-CPU rate, bounded by device simulation.
     """
-    batch = 8192
-    setup = SimulatedSetup(
-        _MODULES,
-        seed=0,
-        calibration_samples=1024,
-        producer="inline",
-        producer_batch=batch,
-        ring_bytes=1 << 24,
-    )
-    setup.source.start()
-    source = setup.source
-    link = setup.link
-    source.read_block(batch)  # launches the producer; one warm-up record
-    worker = link._worker
+    batch = shm.DEFAULT_BATCH
+    ring_bytes = 1 << 24  # room for ~900 k samples of 4-pair wire data
+    default_ring, shm.DEFAULT_RING_BYTES = shm.DEFAULT_RING_BYTES, ring_bytes
+    try:
+        setup = SimulatedSetup(
+            _MODULES, seed=0, calibration_samples=1024, producer="process"
+        )
+        setup.source.start()
+        source = setup.source
+        link = setup.link
+        source.read_block(batch)  # launches the producer; one warm-up record
+    finally:
+        shm.DEFAULT_RING_BYTES = default_ring
     # Cap the pre-fill at what the ring can hold (record = header +
-    # payload, 8-byte aligned); ~1M samples at 4 pairs is ~18 MB.
+    # payload, 8-byte aligned; the last record read stays unreleased).
     record_bytes = 16 + batch * link.firmware.bytes_per_sample()
-    fills = max(min(n_samples // batch, (1 << 24) // record_bytes - 2), 1)
+    fills = max(min(n_samples // batch, ring_bytes // record_bytes - 2), 1)
     hot_n = fills * batch
 
-    def consume() -> None:
+    def consume(read_block) -> None:
         for _ in range(fills):
-            source.read_block(batch)  # exactly one record: zero-copy decode
+            read_block(batch)  # exactly one record: zero-copy decode
 
+    consumed = batch
     hot_t = float("inf")
     for _ in range(repeat):
-        for _ in range(fills):
-            worker.inline_fill()  # pre-fill outside the timed region
-        hot_t = min(hot_t, best_of(consume, 1))
-
-    sustained_t = best_of(consume, repeat)  # ring empty: inline production included
+        while link.ring.samples_pushed - consumed < hot_n:  # pre-fill, untimed
+            time.sleep(0.01)
+        hot_t = min(hot_t, best_of(lambda: consume(source.read_block), 1))
+        consumed += hot_n
     setup.close()
+
+    plain = SimulatedSetup(_MODULES, seed=0, calibration_samples=1024)
+    plain.source.start()
+    plain.source.read_block(batch)  # warm-up, as on the ring
+    sustained_t = best_of(lambda: consume(plain.source.read_block), repeat)
+    plain.close()
     return {
         "producer_batch": batch,
-        "ring_bytes": 1 << 24,
+        "ring_bytes": ring_bytes,
         "hot_samples": hot_n,
         "read_block_samples_per_s": round(hot_n / hot_t),
         "sustained_samples_per_s": round(hot_n / sustained_t),

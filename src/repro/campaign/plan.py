@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,6 +58,7 @@ from typing import Any
 from repro.campaign import registry
 from repro.campaign.registry import Experiment
 from repro.common.errors import ConfigurationError
+from repro.common.grid import expand_grid
 
 #: Keys with meaning to the planner, not the experiment schema.
 RESERVED_KEYS = ("experiment", "include", "exclude")
@@ -250,23 +250,15 @@ class CampaignPlan:
 
     def _expand_grid(self, section: str, options: dict) -> None:
         experiment = self._experiment_for(section, options)
-        axes: list[list[tuple[str, str]]] = []
-        for key, raw in options.items():
-            if key in RESERVED_KEYS:
-                continue
-            values = split_values(raw or "")
-            if not values:
-                raise ConfigurationError(f"[{section}]: empty {key}= list")
+        grid = {key: raw or "" for key, raw in options.items() if key not in RESERVED_KEYS}
+        for key in grid:
             experiment.param(key)  # unknown keys are configuration errors
-            axes.append([(key, value) for value in values])
 
         include = split_values(options.get("include") or "")
         exclude = split_values(options.get("exclude") or "")
-        multi = {axis[0][0] for axis in axes if len(axis) > 1}
         short = section.split(":", 1)[1]
         n_kept = 0
-        for combo in itertools.product(*axes):
-            raw_choice = dict(combo)
+        for label, raw_choice in expand_grid(short, grid, split_values, f"[{section}]"):
             if exclude and any(_matches(raw_choice, p) for p in exclude):
                 continue
             if include and not any(_matches(raw_choice, p) for p in include):
@@ -275,8 +267,6 @@ class CampaignPlan:
                 key: experiment.param(key).parse(value)
                 for key, value in raw_choice.items()
             }
-            varying = [f"{k}={v}" for k, v in combo if k in multi]
-            label = f"{short}[{'/'.join(varying)}]" if varying else short
             self.cells.append(
                 self._resolve_cell(section, experiment, chosen, label)
             )

@@ -27,7 +27,17 @@ class VirtualClock:
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
-        return self._start + self._offset + self._ticks * self._tick_period
+        return self.origin + self._ticks * self._tick_period
+
+    @property
+    def origin(self) -> float:
+        """Time of tick 0; sample grids are laid out from here by index."""
+        return self._start + self._offset
+
+    @property
+    def ticks(self) -> int:
+        """Ticks since the origin."""
+        return self._ticks
 
     def configure_ticks(self, period: float) -> None:
         """Set the tick period (seconds) used by :meth:`tick`.

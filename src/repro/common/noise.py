@@ -60,82 +60,95 @@ class OrnsteinUhlenbeckNoise:
         self._rng = rng
         self._last_time: float | None = None
         self._last_value = 0.0
+        # (start, dt, next index) of the uniform grid the last call ended on.
+        self._grid: tuple[float, float, int] | None = None
 
     def reset(self) -> None:
         """Forget history; the next sample is drawn from the stationary law."""
         self._last_time = None
         self._last_value = 0.0
+        self._grid = None
+
+    def _decay(self, gap: float) -> float:
+        return math.exp(-max(gap, 0.0) / self.tau)
+
+    def _innovation_sigma(self, rho: float) -> float:
+        return self.sigma * math.sqrt(max(1.0 - rho * rho, 0.0))
 
     def sample(self, times: np.ndarray) -> np.ndarray:
-        """Noise values at strictly non-decreasing sample times (seconds)."""
+        """Noise values at strictly non-decreasing sample times (seconds).
+
+        Draws exactly one normal per sample, like :meth:`sample_uniform`,
+        so on a grid whose steps are exact in binary the two give the
+        same values for the same seed.
+        """
         times = np.asarray(times, dtype=float)
         if times.ndim != 1:
             raise ValueError("times must be a 1-D array")
         n = times.size
         if n == 0:
             return np.zeros(0)
+        if np.any(np.diff(times) < 0):
+            raise ValueError("times must be non-decreasing")
+        self._grid = None
         if self.sigma == 0.0:
             self._last_time = float(times[-1])
             self._last_value = 0.0
             return np.zeros(n)
 
+        z = self._rng.normal(0.0, 1.0, size=n)
         out = np.empty(n)
+        # Sequential recurrence for arbitrary time grids; the sensors'
+        # uniform ADC scan grid uses the vectorised sample_uniform below.
         prev_t = self._last_time
-        prev_x = self._last_value
-
-        # Decay factor between consecutive requested times.
-        if prev_t is None:
-            first_rho = 0.0  # draw from the stationary distribution
-            prev_t = float(times[0])
-        else:
-            first_rho = math.exp(-max(times[0] - prev_t, 0.0) / self.tau)
-        dts = np.diff(times)
-        if np.any(dts < 0):
-            raise ValueError("times must be non-decreasing")
-        rhos = np.exp(-dts / self.tau)
-        rhos = np.concatenate(([first_rho], rhos))
-        innov_sigma = self.sigma * np.sqrt(np.maximum(1.0 - rhos**2, 0.0))
-        innovations = self._rng.normal(0.0, 1.0, size=n) * innov_sigma
-
-        # Sequential recurrence for arbitrary time grids; the sensors' uniform
-        # ADC scan grid uses the vectorised sample_uniform below.
-        x = prev_x
+        x = self._last_value
         for i in range(n):
-            x = rhos[i] * x + innovations[i]
+            t = float(times[i])
+            # No history: the first value is drawn from the stationary law.
+            rho = 0.0 if prev_t is None else self._decay(t - prev_t)
+            x = rho * x + z[i] * self._innovation_sigma(rho)
             out[i] = x
+            prev_t = t
 
-        self._last_time = float(times[-1])
-        self._last_value = float(out[-1])
+        self._last_time = prev_t
+        self._last_value = float(x)
         return out
 
-    def sample_uniform(self, start: float, dt: float, n: int) -> np.ndarray:
-        """Vectorised sampling on a uniform grid ``start + i*dt``.
+    def sample_uniform(
+        self, start: float, dt: float, n: int, first: int = 0
+    ) -> np.ndarray:
+        """Vectorised sampling on the grid ``start + k*dt``, ``k = first..first+n-1``.
 
-        Equivalent in distribution to :meth:`sample` on the same grid.  With
-        a constant grid step, rho is constant and the recurrence is an AR(1)
-        filter, which :func:`_ar1_filter` evaluates in one ``lfilter`` pass.
+        Each call draws exactly ``n`` normals.  The first drives the
+        transition from the carried state; when the call continues the
+        previous call's grid (same ``start`` and ``dt``, ``first`` one past
+        its last index) that transition uses the grid's own decay, so any
+        split of a grid into calls yields the same values bit for bit.
+        With a constant grid step the recurrence is an AR(1) filter, which
+        :func:`_ar1_filter` evaluates in one ``lfilter`` pass.
         """
         if n <= 0:
             return np.zeros(0)
+        end = first + n
+        continues = self._grid == (start, dt, first)
+        self._grid = (start, dt, end)
+        last_time = start + dt * (end - 1)
         if self.sigma == 0.0:
-            self._last_time = start + (n - 1) * dt
+            self._last_time = last_time
             self._last_value = 0.0
             return np.zeros(n)
         rho = math.exp(-dt / self.tau) if dt > 0 else 1.0
         if self._last_time is None:
-            x0 = self._rng.normal(0.0, self.sigma)
-            gap_rho = None
+            x_rho = 0.0  # no history: draw from the stationary law
+        elif continues:
+            x_rho = rho
         else:
-            gap = max(start - self._last_time, 0.0)
-            gap_rho = math.exp(-gap / self.tau)
-            x0 = gap_rho * self._last_value + self._rng.normal(
-                0.0, self.sigma * math.sqrt(max(1.0 - gap_rho**2, 0.0))
-            )
-        innov_sigma = self.sigma * math.sqrt(max(1.0 - rho**2, 0.0))
-        innovations = self._rng.normal(0.0, 1.0, size=n) * innov_sigma
-        innovations[0] = 0.0
-        out = _ar1_filter(rho, x0, innovations)
-        self._last_time = start + (n - 1) * dt
+            x_rho = self._decay(start + dt * first - self._last_time)
+        z = self._rng.normal(0.0, 1.0, size=n)
+        x0 = x_rho * self._last_value + z[0] * self._innovation_sigma(x_rho)
+        z *= self._innovation_sigma(rho)
+        out = _ar1_filter(rho, x0, z)
+        self._last_time = last_time
         self._last_value = float(out[-1])
         return out
 

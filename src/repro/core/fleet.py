@@ -56,7 +56,6 @@ def build_bench(
     from repro.core.setup import SETUP_CALIBRATION_SAMPLES, SimulatedSetup
     from repro.core.setup import parse_module_keys
     from repro.dut.rails import build_rail
-    from repro.transport.shm import DEFAULT_BATCH, DEFAULT_RING_BYTES
 
     if "://" not in spec:
         spec = f"sim://{spec}"
@@ -83,8 +82,6 @@ def build_bench(
             tracer=tracer,
             device=device,
             producer=options.pop("producer", None),
-            producer_batch=int(options.pop("producer_batch", DEFAULT_BATCH)),
-            ring_bytes=int(options.pop("ring_bytes", DEFAULT_RING_BYTES)),
         )
         if options:
             raise ConfigurationError(

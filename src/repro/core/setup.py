@@ -24,7 +24,7 @@ from repro.hardware.modules import SensorModule
 from repro.observability import MetricsRegistry, Tracer
 from repro.transport.faults import FaultModel, FaultySerialLink, parse_fault_spec
 from repro.transport.link import VirtualSerialLink
-from repro.transport.shm import DEFAULT_BATCH, DEFAULT_RING_BYTES, ProducerLink
+from repro.transport.shm import ProducerLink
 
 #: Default calibration length for programmatic setups.  The paper's
 #: procedure uses 128 k samples; 32 k keeps test construction fast while
@@ -53,11 +53,10 @@ class SimulatedSetup:
             (fault layer, sample source, PowerSensor); a fresh one is
             created if not given.
         producer: run device simulation in a batching producer feeding a
-            shared SPSC ring (``"thread"``, ``"process"``, ``"inline"``
-            or ``"auto"``; see :mod:`repro.transport.shm`).  ``None``
-            (default) keeps the classic interleaved pump, byte-for-byte.
-        producer_batch: samples per producer batch.
-        ring_bytes: producer ring capacity in bytes.
+            shared SPSC ring (``"thread"``, ``"process"`` or ``"auto"``;
+            see :mod:`repro.transport.shm`).  ``None`` (default) keeps the
+            classic interleaved pump.  On a clean stream both give the
+            same bytes.
 
     Attributes:
         baseboard, eeprom, firmware (None on the direct path), link (None
@@ -82,8 +81,6 @@ class SimulatedSetup:
         tracer: Tracer | None = None,
         device: str | None = None,
         producer: str | None = None,
-        producer_batch: int = DEFAULT_BATCH,
-        ring_bytes: int = DEFAULT_RING_BYTES,
     ) -> None:
         if len(module_keys) > 4:
             raise ValueError("a baseboard has at most four slots")
@@ -127,8 +124,6 @@ class SimulatedSetup:
                     tracer=self.tracer,
                     device=device,
                     producer=producer,
-                    producer_batch=producer_batch,
-                    ring_bytes=ring_bytes,
                 )
             )
         else:
@@ -143,12 +138,7 @@ class SimulatedSetup:
                     device=device,
                 )
             if producer:
-                self.link = ProducerLink(
-                    self.link,
-                    producer=producer,
-                    batch=producer_batch,
-                    ring_bytes=ring_bytes,
-                )
+                self.link = ProducerLink(self.link, producer=producer)
             self.source = ProtocolSampleSource(
                 self.link,
                 registry=self.registry,
@@ -195,8 +185,6 @@ def simulated_source(
     calibration_samples: int = SETUP_CALIBRATION_SAMPLES,
     device: str | None = None,
     producer: str | None = None,
-    producer_batch: int = DEFAULT_BATCH,
-    ring_bytes: int = DEFAULT_RING_BYTES,
     registry: MetricsRegistry | None = None,
     tracer: Tracer | None = None,
 ):
@@ -219,8 +207,6 @@ def simulated_source(
         tracer=tracer,
         device=device,
         producer=producer,
-        producer_batch=producer_batch,
-        ring_bytes=ring_bytes,
     )
     rail = build_rail(dut, seed)
     if rail is not None:

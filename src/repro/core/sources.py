@@ -49,7 +49,7 @@ from repro.observability import MetricsRegistry, Tracer
 from repro.hardware.baseboard import Baseboard
 from repro.hardware.eeprom import RECORD_SIZE, SENSORS, SensorConfig, VirtualEeprom
 from repro.transport.link import VirtualSerialLink
-from repro.transport.shm import DEFAULT_BATCH, DEFAULT_RING_BYTES
+from repro.transport.shm import CodeRingProducer, resolve_producer_mode
 
 #: ADC reconstruction constants shared by firmware display, host and direct path.
 ADC_VREF = 3.3
@@ -579,13 +579,11 @@ class DirectSampleSource(SampleSource):
     """Vectorised source reading the baseboard directly (no byte encoding).
 
     With ``producer=`` set, sensor physics runs in a batching producer
-    (thread, forked process, or inline — see :mod:`repro.transport.shm`)
-    that pushes raw ADC code blocks through a shared SPSC ring;
+    (a thread or a forked process — see :mod:`repro.transport.shm`) that
+    pushes raw ADC code blocks through a shared SPSC ring;
     :meth:`read_block` then only reassembles codes into one pre-sized
-    array and converts.  Opt-in: batched production consumes the noise
-    RNG at batch granularity, so the stream is pinned byte-identical
-    across producer modes at equal ``producer_batch``, not against the
-    unbatched default path.
+    array and converts.  Device simulation is chunking-invariant, so the
+    stream is the same as without a producer, for any sequence of reads.
     """
 
     def __init__(
@@ -597,8 +595,6 @@ class DirectSampleSource(SampleSource):
         tracer: Tracer | None = None,
         device: str | None = None,
         producer: str | None = None,
-        producer_batch: int = DEFAULT_BATCH,
-        ring_bytes: int = DEFAULT_RING_BYTES,
     ) -> None:
         self.baseboard = baseboard
         self.eeprom = eeprom
@@ -622,9 +618,7 @@ class DirectSampleSource(SampleSource):
         )
         self._marker_pending = 0
         self.streaming = False
-        self._producer_mode = producer
-        self._producer_batch = int(producer_batch)
-        self._ring_bytes = int(ring_bytes)
+        self._producer_mode = resolve_producer_mode(producer) if producer else None
         self._code_producer = None
         self._code_carry: np.ndarray | None = None
 
@@ -655,15 +649,9 @@ class DirectSampleSource(SampleSource):
         starts, and a worker launched at start() would snapshot the
         half-built baseboard.
         """
-        from repro.transport.shm import CodeRingProducer
-
         self._code_carry = None
         self._code_producer = CodeRingProducer(
-            self.baseboard,
-            self.clock.now,
-            producer=self._producer_mode,
-            batch=self._producer_batch,
-            ring_bytes=self._ring_bytes,
+            self.baseboard, self.clock, producer=self._producer_mode
         )
         return self._code_producer
 
@@ -711,7 +699,6 @@ class DirectSampleSource(SampleSource):
 
     def read_block(self, n_samples: int) -> SampleBlock:
         timing = self.baseboard.timing
-        start = self.clock.now
         if not self.streaming:
             self.clock.tick(n_samples)
             return SampleBlock(
@@ -720,17 +707,18 @@ class DirectSampleSource(SampleSource):
                 markers=np.zeros(0, dtype=bool),
                 enabled=np.array([c.enabled for c in self.configs]),
             )
+        origin, first = self.clock.origin, self.clock.ticks
         if self._producer_mode:
             codes = self._gather_codes(n_samples)
             n_samples = len(codes)  # short on producer stop/crash
         else:
-            codes = self.baseboard.averaged_codes(start, n_samples)
+            codes = self.baseboard.averaged_codes(origin, n_samples, first)
         self.clock.tick(n_samples)
         self.health.samples_decoded += n_samples
         values, enabled = convert_codes(codes, self.configs)
         # Match the firmware timestamp convention (after 3 of 6 scans),
         # including its microsecond rounding.
-        times = start + np.arange(n_samples) * timing.output_interval_s
+        times = origin + np.arange(first, first + n_samples) * timing.output_interval_s
         times = np.round((times + 3 * timing.scan_time_s) * 1e6) * 1e-6
         markers = np.zeros(n_samples, dtype=bool)
         n_mark = min(self._marker_pending, n_samples)
@@ -760,9 +748,7 @@ _LAZY_SOURCES: dict[str, str] = {
 }
 
 #: Typed coercion for URI query options (everything else stays a string).
-_SPEC_INT_KEYS = frozenset(
-    {"seed", "fault_seed", "window", "calibration_samples", "producer_batch", "ring_bytes"}
-)
+_SPEC_INT_KEYS = frozenset({"seed", "fault_seed", "window", "calibration_samples"})
 _SPEC_FLOAT_KEYS = frozenset({"speed", "connect_timeout", "t0", "t1"})
 _SPEC_BOOL_KEYS = frozenset({"direct", "loop", "calibrate"})
 _SPEC_TRUE = frozenset({"1", "true", "yes", "on", ""})

@@ -112,7 +112,7 @@ class ConstantRail:
         self.volts = float(volts)
         self.amps = float(amps)
 
-    def sample_uniform(self, start: float, dt: float, n: int):
+    def sample_uniform(self, start: float, dt: float, n: int, first: int = 0):
         return np.full(n, self.volts), np.full(n, self.amps)
 
 
@@ -122,8 +122,8 @@ class FunctionRail:
     def __init__(self, fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]):
         self.fn = fn
 
-    def sample_uniform(self, start: float, dt: float, n: int):
-        times = start + dt * np.arange(n)
+    def sample_uniform(self, start: float, dt: float, n: int, first: int = 0):
+        times = start + dt * np.arange(first, first + n)
         volts, amps = self.fn(times)
         return (
             np.broadcast_to(np.asarray(volts, dtype=float), times.shape).copy(),
@@ -144,8 +144,9 @@ class TraceRail:
         #: rendered on its own timeline be measured later in bench time).
         self.offset = float(offset)
 
-    def sample_uniform(self, start: float, dt: float, n: int):
-        idx = self.trace.hold_index(start - self.offset + dt * np.arange(n))
+    def sample_uniform(self, start: float, dt: float, n: int, first: int = 0):
+        times = start - self.offset + dt * np.arange(first, first + n)
+        idx = self.trace.hold_index(times)
         return self.trace.volts[idx], self.trace.amps[idx]
 
 
@@ -171,8 +172,8 @@ class CabledRail:
         self.cable_resistance_ohms = float(cable_resistance_ohms)
         self.remote_sense = bool(remote_sense)
 
-    def sample_uniform(self, start: float, dt: float, n: int):
-        volts_dut, amps = self.inner.sample_uniform(start, dt, n)
+    def sample_uniform(self, start: float, dt: float, n: int, first: int = 0):
+        volts_dut, amps = self.inner.sample_uniform(start, dt, n, first)
         if self.remote_sense:
             return volts_dut, amps  # sense wires tap the DUT directly
         return volts_dut + amps * self.cable_resistance_ohms, amps
@@ -211,8 +212,8 @@ class SegmentRail:
         if keep:
             del self._starts[:keep], self._stops[:keep], self._watts[:keep]
 
-    def sample_uniform(self, start: float, dt: float, n: int):
-        times = start + dt * np.arange(n)
+    def sample_uniform(self, start: float, dt: float, n: int, first: int = 0):
+        times = start + dt * np.arange(first, first + n)
         watts = np.full(n, self.idle_watts)
         if self._starts:
             starts = np.asarray(self._starts)
@@ -238,8 +239,8 @@ class ScaledRail:
         self.volt_scale = float(volt_scale)
         self.amp_scale = float(amp_scale)
 
-    def sample_uniform(self, start: float, dt: float, n: int):
-        volts, amps = self.inner.sample_uniform(start, dt, n)
+    def sample_uniform(self, start: float, dt: float, n: int, first: int = 0):
+        volts, amps = self.inner.sample_uniform(start, dt, n, first)
         return volts * self.volt_scale, amps * self.amp_scale
 
 
@@ -260,8 +261,8 @@ class SplitRail:
         self.nominal_volts = float(volts)
         self.droop_ohms = float(droop_ohms)
 
-    def sample_uniform(self, start: float, dt: float, n: int):
-        times = start + dt * np.arange(n)
+    def sample_uniform(self, start: float, dt: float, n: int, first: int = 0):
+        times = start + dt * np.arange(first, first + n)
         watts = np.asarray(self.total_watts_fn(times), dtype=float) * self.share
         # Solve u = V0 - R * i with i = p / u; one Newton step from u = V0
         # is plenty for the few-mOhm droops involved.

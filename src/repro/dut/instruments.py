@@ -101,8 +101,8 @@ class LoadedSupplyRail:
         self.supply = supply
         self.load = load
 
-    def sample_uniform(self, start: float, dt: float, n: int):
-        times = start + dt * np.arange(n)
+    def sample_uniform(self, start: float, dt: float, n: int, first: int = 0):
+        times = start + dt * np.arange(first, first + n)
         amps = self.load.current_at(times)
         volts = self.supply.voltage_under_load(amps)
         return volts, amps

@@ -190,18 +190,20 @@ class Firmware:
         if n_samples == 0:
             return self.flush_responses()
         timing = self.baseboard.timing
-        start = self.clock.now
         if not self.streaming:
             self.clock.tick(n_samples)
             return self.flush_responses()
 
-        codes = self.baseboard.averaged_codes(start, n_samples)
+        # Times come from the clock's origin plus the sample index, so the
+        # bytes do not depend on how the stream is split into produce calls.
+        origin, first = self.clock.origin, self.clock.ticks
+        codes = self.baseboard.averaged_codes(origin, n_samples, first)
         sensors = self.enabled_sensors()
         n_fields = 1 + len(sensors)  # timestamp + per-sensor packets
         packets = np.zeros((n_samples, n_fields, 2), dtype=np.uint8)
 
         # Timestamp packets: generated after processing 3 of the 6 scans.
-        ts_times = start + np.arange(n_samples) * timing.output_interval_s
+        ts_times = origin + np.arange(first, first + n_samples) * timing.output_interval_s
         ts_times = ts_times + 3 * timing.scan_time_s
         micros = np.round(ts_times * 1e6).astype(np.int64) % TIMESTAMP_WRAP_US
         packets[:, 0, 0] = 0x80 | (TIMESTAMP_SENSOR << 4) | 0x08 | (micros >> 7)
@@ -252,7 +254,7 @@ class Firmware:
         """
         if self.streaming:
             return
-        codes = self.baseboard.averaged_codes(self.clock.now, 1)[0]
+        codes = self.baseboard.averaged_codes(self.clock.origin, 1, self.clock.ticks)[0]
         self.clock.tick(1)
         pairs = []
         total = 0.0

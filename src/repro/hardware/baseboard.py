@@ -31,9 +31,9 @@ class PowerRail(Protocol):
     """
 
     def sample_uniform(
-        self, start: float, dt: float, n: int
+        self, start: float, dt: float, n: int, first: int = 0
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(volts, amps) arrays of length n at times start + i*dt."""
+        """(volts, amps) arrays of length n at times start + k*dt, k >= first."""
         ...
 
 
@@ -98,31 +98,35 @@ class Baseboard:
         if not 0 <= slot < SLOTS:
             raise ConfigurationError(f"slot {slot} out of range 0..{SLOTS - 1}")
 
-    def read_codes(self, start: float, n_output: int) -> np.ndarray:
-        """Raw ADC codes for ``n_output`` output samples starting at ``start``.
+    def read_codes(self, start: float, n_output: int, first: int = 0) -> np.ndarray:
+        """Raw ADC codes for ``n_output`` output samples from index ``first``.
 
-        Returns an int16 array of shape ``(n_output, averages, channels)``.
-        Channel ``2*slot`` carries the slot's current sensor, ``2*slot + 1``
-        its voltage sensor; unpopulated channels read code 0.
+        Scan ``a`` of output sample ``j`` is at ``start + (j * averages + a) *
+        scan_time`` plus the channel's conversion offset, so any split of a
+        stream into reads gives the same codes.  Returns an int16 array of
+        shape ``(n_output, averages, channels)``.  Channel ``2*slot`` carries
+        the slot's current sensor, ``2*slot + 1`` its voltage sensor;
+        unpopulated channels read code 0.
         """
         t = self.timing
         total_sub = n_output * t.averages
+        scan = first * t.averages
         codes = np.zeros((n_output, t.averages, CHANNELS), dtype=np.int16)
         for channel in self.populated_slots():
             slot = channel.slot
+            i_start = start + (2 * slot) * t.conversion_time_s
+            u_start = start + (2 * slot + 1) * t.conversion_time_s
             if channel.rail is not None:
-                i_start = start + (2 * slot) * t.conversion_time_s
-                u_start = start + (2 * slot + 1) * t.conversion_time_s
-                _, amps = channel.rail.sample_uniform(i_start, t.scan_time_s, total_sub)
-                volts, _ = channel.rail.sample_uniform(u_start, t.scan_time_s, total_sub)
+                _, amps = channel.rail.sample_uniform(i_start, t.scan_time_s, total_sub, scan)
+                volts, _ = channel.rail.sample_uniform(u_start, t.scan_time_s, total_sub, scan)
             else:
                 amps = np.zeros(total_sub)
                 volts = np.zeros(total_sub)
             i_analog = channel.module.current_sensor.transduce_uniform(
-                amps, start + (2 * slot) * t.conversion_time_s, t.scan_time_s
+                amps, i_start, t.scan_time_s, scan
             )
             u_analog = channel.module.voltage_sensor.transduce_uniform(
-                volts, start + (2 * slot + 1) * t.conversion_time_s, t.scan_time_s
+                volts, u_start, t.scan_time_s, scan
             )
             codes[:, :, 2 * slot] = self.adc.quantize(i_analog).reshape(
                 n_output, t.averages
@@ -132,8 +136,8 @@ class Baseboard:
             )
         return codes
 
-    def averaged_codes(self, start: float, n_output: int) -> np.ndarray:
+    def averaged_codes(self, start: float, n_output: int, first: int = 0) -> np.ndarray:
         """Firmware-style averaged 10-bit values, shape (n_output, channels)."""
-        raw = self.read_codes(start, n_output)
+        raw = self.read_codes(start, n_output, first)
         summed = raw.sum(axis=1, dtype=np.int64)
         return (summed + self.timing.averages // 2) // self.timing.averages

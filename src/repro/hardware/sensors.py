@@ -197,15 +197,15 @@ class CurrentSensor:
         return np.clip(v, 0.0, self.vdd)
 
     def transduce_uniform(
-        self, currents_a: np.ndarray, start: float, dt: float
+        self, currents_a: np.ndarray, start: float, dt: float, first: int = 0
     ) -> np.ndarray:
-        """Fast path: same as :meth:`transduce` on a uniform time grid."""
+        """Fast path: :meth:`transduce` at ``start + k*dt`` from ``k = first``."""
         currents_a = np.asarray(currents_a, dtype=float)
         n = currents_a.size
-        times = start + dt * np.arange(n)
+        times = start + dt * np.arange(first, first + n)
         effective = self._effective_current(currents_a, times)
         v = self.zero_current_voltage + self.sensitivity * effective
-        v = v + self._noise.sample_uniform(start, dt, n)
+        v = v + self._noise.sample_uniform(start, dt, n, first)
         return np.clip(v, 0.0, self.vdd)
 
 
@@ -246,10 +246,10 @@ class VoltageSensor:
         return np.clip(v, 0.0, self.vdd)
 
     def transduce_uniform(
-        self, volts_in: np.ndarray, start: float, dt: float
+        self, volts_in: np.ndarray, start: float, dt: float, first: int = 0
     ) -> np.ndarray:
-        """Fast path: same as :meth:`transduce` on a uniform time grid."""
+        """Fast path: :meth:`transduce` at ``start + k*dt`` from ``k = first``."""
         volts_in = np.asarray(volts_in, dtype=float)
         v = volts_in * self.gain * (1.0 + self.gain_error)
-        v = v + self._noise.sample_uniform(start, dt, volts_in.size)
+        v = v + self._noise.sample_uniform(start, dt, volts_in.size, first)
         return np.clip(v, 0.0, self.vdd)

@@ -60,7 +60,6 @@ figure of merit the FTL comparison sweeps.
 from __future__ import annotations
 
 import configparser
-import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -68,6 +67,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.common.errors import ConfigurationError
+from repro.common.grid import expand_grid
 from repro.core.setup import SimulatedSetup
 from repro.dut.base import TraceRail
 from repro.dut.ssd import Ssd, SsdSpec
@@ -231,15 +231,14 @@ def load_jobfile(path: str | Path) -> list[JobSpec]:
 def _expand_section(section: str, options: dict) -> list[JobSpec]:
     if "rw" not in options or options["rw"] is None:
         raise ConfigurationError(f"job [{section}] is missing rw=")
-    grids: list[list[tuple[str, str]]] = []
-    for key in GRID_KEYS:
-        raw = options.get(key)
-        if raw is None:
-            continue
-        values = [v.strip() for v in str(raw).split(",") if v.strip()]
-        if not values:
-            raise ConfigurationError(f"job [{section}]: empty {key}= list")
-        grids.append([(key, v) for v in values])
+    # Only grid keys with more than one value mark the job name; single
+    # values stay implicit (the report records them anyway).
+    cells = expand_grid(
+        options.get("name") or section,
+        {key: options[key] for key in GRID_KEYS if options.get(key) is not None},
+        lambda raw: [v.strip() for v in raw.split(",") if v.strip()],
+        f"job [{section}]",
+    )
 
     stonewall = _parse_flag(options["stonewall"]) if "stonewall" in options else False
     pre_format = _parse_flag(options["pre_format"]) if "pre_format" in options else False
@@ -259,16 +258,8 @@ def _expand_section(section: str, options: dict) -> list[JobSpec]:
             ramp_s=float(options.get("ss_ramp") or 0.0),
         )
 
-    # Only grid keys with more than one value mark the job name; single
-    # values stay implicit (the report records them anyway).
-    multi = {axis[0][0] for axis in grids if len(axis) > 1}
     specs = []
-    for combo in itertools.product(*grids):
-        chosen = dict(combo)
-        varying = [f"{k}={v}" for k, v in combo if k in multi]
-        name = options.get("name") or section
-        if varying:
-            name = f"{name}[{'/'.join(varying)}]"
+    for name, chosen in cells:
         job = FioJob(
             rw=chosen.get("rw", options["rw"]),
             bs=chosen.get("bs", options.get("bs") or "4k"),

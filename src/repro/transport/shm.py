@@ -10,27 +10,27 @@ This module splits the pipeline at the transport layer:
 
 * :class:`SpscByteRing` — a lock-light single-producer/single-consumer
   byte ring with cached head/tail indices, laid out over either a plain
-  ``bytearray`` (thread/inline producers) or a
+  ``bytearray`` (thread producer) or a
   ``multiprocessing.shared_memory`` segment (process producer).  Records
   are framed ``(n_samples, n_bytes, payload)`` and never wrap the ring
   edge, so every payload the consumer sees is one contiguous view that
   feeds ``np.frombuffer``/``decode_block`` zero-copy.
 * :class:`ProducerLink` — wraps a :class:`VirtualSerialLink` (or
   :class:`~repro.transport.faults.FaultySerialLink`) and runs
-  ``pump_samples`` in large batches from a producer *thread* or forked
-  *process* into the ring; the consumer's ``pump_samples(n)`` only
-  assembles ring views.  An *inline* producer runs the same batched code
-  path synchronously — one deterministic reference the concurrent modes
-  are pinned byte-identical against.
+  ``pump_samples`` in :data:`DEFAULT_BATCH`-sample batches from a
+  producer *thread* or forked *process* into the ring; the consumer's
+  ``pump_samples(n)`` only assembles ring views.
 * :class:`CodeRingProducer` — the same treatment for
   :class:`~repro.core.sources.DirectSampleSource`: raw averaged ADC code
   batches through the ring instead of wire bytes.
 
-Determinism note: sensor noise is a stateful AR(1) process whose RNG
-consumption depends on call granularity, so a batched producer stream is
-*not* bitwise-equal to an unbatched one — it is bitwise-equal to any
-other producer mode using the same ``batch``.  Producer mode is therefore
-opt-in (``sim://...?producer=thread``); the default path is untouched.
+Determinism: device simulation is chunking-invariant (every scan time is
+laid out by index from the stream origin, and each sensor's noise draws
+one normal per scan), so on a clean stream both producer modes are
+byte-identical to the plain link for any sequence of reads.  Fault
+models draw per link read and the producer reads the link in batches,
+so a faulted stream is identical across producer modes, not to the
+plain link.  Producer mode is opt-in (``sim://...?producer=thread``).
 
 Lifecycle: a producer that crashes or is stopped mid-stream marks the
 ring end-of-stream, so the consumer's next read returns empty and the
@@ -41,6 +41,7 @@ always joins the worker and unlinks the shared segment.
 
 from __future__ import annotations
 
+import copy
 import os
 import struct
 import threading
@@ -48,7 +49,7 @@ import time
 from collections import deque
 from typing import Callable
 
-from repro.common.errors import ConfigurationError, DeviceError, TransportError
+from repro.common.errors import ConfigurationError, DeviceError
 from repro.firmware.commands import Command
 
 #: Samples per producer batch.  Large enough that per-batch Python
@@ -56,12 +57,12 @@ from repro.firmware.commands import Command
 #: the producer lands within a few hundred milliseconds of stream time.
 DEFAULT_BATCH = 8192
 
-#: Default ring capacity in bytes (~29 batches of 4-pair wire data).
+#: Ring capacity in bytes (~29 batches of 4-pair wire data).
 DEFAULT_RING_BYTES = 1 << 22
 
 #: Producer modes.  ``auto`` resolves to ``process`` on multi-core hosts
 #: with ``fork`` available, else ``thread``.
-PRODUCER_MODES = ("inline", "thread", "process", "auto")
+PRODUCER_MODES = ("thread", "process", "auto")
 
 _HEADER = 64  # head u64 | tail u64 | samples u64 | state u8, padded
 _PAD = 0xFFFFFFFF  # n_samples sentinel: skip to the ring edge
@@ -73,6 +74,21 @@ _JOIN_S = 10.0  # worker join timeout before escalating
 
 def _align8(n: int) -> int:
     return (n + 7) & ~7
+
+
+def _noise_models(baseboard) -> list:
+    """Every sensor's stateful noise model on ``baseboard``, in slot order."""
+    return [
+        sensor._noise
+        for channel in baseboard.populated_slots()
+        for sensor in (channel.module.current_sensor, channel.module.voltage_sensor)
+    ]
+
+
+def _restore(objects, states) -> None:
+    """Overwrite each object's attributes with a forked producer's copy."""
+    for obj, state in zip(objects, states):
+        vars(obj).update(state)
 
 
 def resolve_producer_mode(mode: str) -> str:
@@ -235,25 +251,26 @@ def _producer_loop(
 ) -> str | None:
     """Shared producer body: pump batches into the ring until stopped.
 
-    Returns an error string if the pump raised (the ring is marked
-    end-of-stream either way, so the consumer never hangs).
+    Commands are read only between pumping a batch and pushing it, so a
+    producer always stops holding exactly one batch it did not push: a
+    producer blocked on a full ring has produced the same stream in
+    either mode when STOP arrives.  Returns an error string if the pump
+    raised (the ring is marked end-of-stream either way, so the consumer
+    never hangs).
     """
     error: str | None = None
     try:
         while True:
-            cmd = poll_cmd()
-            while cmd is not None:
-                if cmd == _CMD_STOP:
-                    raise _Stop
-                handle_cmd(cmd)
-                cmd = poll_cmd()
             payload = pump(batch)
-            while not ring.try_push(payload, batch):
+            while True:
                 cmd = poll_cmd()
-                if cmd == _CMD_STOP:
-                    raise _Stop
-                if cmd is not None:
+                while cmd is not None:
+                    if cmd == _CMD_STOP:
+                        raise _Stop
                     handle_cmd(cmd)
+                    cmd = poll_cmd()
+                if ring.try_push(payload, batch):
+                    break
                 time.sleep(_POLL_S)
     except _Stop:
         pass
@@ -265,19 +282,21 @@ def _producer_loop(
 
 
 class _RingWorker:
-    """Owns one producer worker (thread or forked process) and its ring."""
+    """Owns one producer worker (thread or forked process) and its ring.
+
+    The batch and ring sizes are :data:`DEFAULT_BATCH` and
+    :data:`DEFAULT_RING_BYTES`, read when the worker is created.
+    """
 
     def __init__(
         self,
         mode: str,
-        ring_bytes: int,
         pump: Callable[[int], bytes],
-        batch: int,
         handle_cmd: Callable[[str], None],
-        collect_state: Callable[[], dict] | None = None,
+        collect_state: Callable[[], dict],
     ) -> None:
         self.mode = mode
-        self.batch = int(batch)
+        self.batch = DEFAULT_BATCH
         self._pump = pump
         self._handle_cmd = handle_cmd
         self._collect_state = collect_state
@@ -288,19 +307,18 @@ class _RingWorker:
         self._process = None
         self._parent_conn = None
         self._cmds: deque[str] = deque()
+        size = _HEADER + DEFAULT_RING_BYTES
         if mode == "process":
             from multiprocessing import shared_memory
 
-            self._shm = shared_memory.SharedMemory(create=True, size=_HEADER + ring_bytes)
+            self._shm = shared_memory.SharedMemory(create=True, size=size)
             self.ring = SpscByteRing(self._shm.buf)
         else:
-            self.ring = SpscByteRing(bytearray(_HEADER + ring_bytes))
+            self.ring = SpscByteRing(bytearray(size))
 
     # -- lifecycle ------------------------------------------------------ #
 
     def start(self) -> None:
-        if self.mode == "inline":
-            return
         if self.mode == "thread":
             self._thread = threading.Thread(
                 target=self._thread_main, name="ps-producer", daemon=True
@@ -337,12 +355,10 @@ class _RingWorker:
             return conn.recv() if conn.poll() else None
 
         error = _producer_loop(self.ring, self._pump, self.batch, poll_cmd, self._handle_cmd)
-        state = {}
-        if self._collect_state is not None:
-            try:
-                state = self._collect_state()
-            except Exception:  # state sync is best-effort
-                state = {}
+        try:
+            state = self._collect_state()
+        except Exception:  # state sync is best-effort
+            state = {}
         try:
             conn.send({"error": error, "state": state})
             conn.close()
@@ -352,10 +368,7 @@ class _RingWorker:
     # -- parent-side control -------------------------------------------- #
 
     def send(self, cmd: str) -> None:
-        if self.mode == "inline":
-            if cmd != _CMD_STOP:
-                self._handle_cmd(cmd)
-        elif self.mode == "thread":
+        if self.mode == "thread":
             self._cmds.append(cmd)
         elif self._parent_conn is not None:
             try:
@@ -364,23 +377,17 @@ class _RingWorker:
                 pass
 
     def alive(self) -> bool:
-        if self.mode == "inline":
-            return not self.ring.eos
         if self.mode == "thread":
             return self._thread is not None and self._thread.is_alive()
         return self._process is not None and self._process.is_alive()
 
-    def inline_fill(self) -> None:
-        """Inline mode: run one producer batch synchronously."""
-        payload = self._pump(self.batch)
-        if not self.ring.try_push(payload, self.batch):
-            raise TransportError(
-                "producer ring full: ring_bytes too small for the requested read"
-            )
-
     def drain_state(self) -> None:
-        """Collect the worker's error/final state once it has exited."""
-        if self.mode == "thread" or self.mode == "inline":
+        """Collect a forked worker's error/final state once it has exited.
+
+        A thread producer ran on the parent's own objects: nothing to
+        collect.
+        """
+        if self.mode == "thread":
             return
         if self._parent_conn is None or self.final_state is not None:
             return
@@ -442,34 +449,23 @@ class ProducerLink:
     ``START_STREAMING`` arms the producer; the worker itself launches at
     the first read (so a forked child snapshots the fully wired bench,
     not whatever half-built state existed at START) and then pumps
-    ``batch``-sample blocks into the ring; the consumer's
-    :meth:`pump_samples` assembles
-    whole-record ring views — a read of exactly ``batch`` samples is
-    zero-copy into decode.  ``MARKER`` is forwarded to the producer (it
-    lands at batch granularity); ``STOP_STREAMING`` joins the worker and,
-    for a forked producer, syncs the device clock/marker/fault state back
-    to the parent's firmware.  Any other command while the producer runs
-    raises :class:`DeviceError`, matching the firmware's own
+    :data:`DEFAULT_BATCH`-sample blocks into the ring; the consumer's
+    :meth:`pump_samples` assembles whole-record ring views — a read of
+    exactly one batch is zero-copy into decode.  ``MARKER`` is forwarded
+    to the producer (it lands at batch granularity); ``STOP_STREAMING``
+    joins the worker and, for a forked producer, syncs the device state
+    (clock, markers, sensor noise, fault generator) back to the parent.
+    Any other command while the producer runs raises
+    :class:`DeviceError`, matching the firmware's own
     cannot-while-streaming rules.
 
     The buffer returned by :meth:`pump_samples` is valid until the next
     call (ring space is only released then).
     """
 
-    def __init__(
-        self,
-        link,
-        producer: str = "auto",
-        batch: int = DEFAULT_BATCH,
-        ring_bytes: int = DEFAULT_RING_BYTES,
-        stall_timeout: float = 5.0,
-    ) -> None:
+    def __init__(self, link, producer: str = "auto", stall_timeout: float = 5.0) -> None:
         self.link = link
         self.mode = resolve_producer_mode(producer)
-        self.batch = int(batch)
-        if self.batch <= 0:
-            raise ConfigurationError(f"producer batch must be positive, got {batch}")
-        self.ring_bytes = int(ring_bytes)
         self.stall_timeout = float(stall_timeout)
         self._armed = False  # START seen; worker launches on the first read
         self._worker: _RingWorker | None = None
@@ -558,9 +554,7 @@ class ProducerLink:
         self._carry = None
         worker = _RingWorker(
             self.mode,
-            self.ring_bytes,
             self.link.pump_samples,
-            self.batch,
             self._apply_command,
             self._collect_child_state,
         )
@@ -569,55 +563,53 @@ class ProducerLink:
         return worker
 
     def _apply_command(self, cmd: str) -> None:
-        # Runs in the producer (thread/forked process/inline): commands
-        # apply between batches, against the producer's firmware.
+        # Runs in the producer (thread or forked process): commands apply
+        # between batches, against the producer's firmware.
         if cmd == _CMD_MARK:
             self.link.write(Command.MARKER.value)
 
     def _collect_child_state(self) -> dict:
         """Runs in the forked child at exit: state to sync to the parent."""
-        state: dict = {}
-        firmware = getattr(self.link, "firmware", None)
-        if firmware is not None:
-            state["samples_produced"] = firmware.samples_produced
-            state["markers_pending"] = firmware._markers_pending
-            state["markers_dropped"] = firmware.markers_dropped
+        firmware = self.link.firmware
+        state = {
+            "samples_produced": firmware.samples_produced,
+            "markers_pending": firmware._markers_pending,
+            "markers_dropped": firmware.markers_dropped,
+            "noise": [vars(noise) for noise in _noise_models(firmware.baseboard)],
+        }
         models = getattr(self.link, "models", None)
         if models is not None:
-            state["injected"] = [model.injected for model in models]
+            state["fault_rng"] = self.link.rng.bit_generator.state
+            state["models"] = [vars(model) for model in models]
         return state
 
     def _sync_from_child(self, worker: _RingWorker) -> None:
         """Fold the forked producer's device state back into the parent.
 
-        The parent's firmware did not run while the child produced: its
-        clock, sample counter, marker queue and fault counters are stale.
-        The child reports them at exit; after a crash the ring's
-        samples-pushed counter still lets the clock advance, so time
-        never goes backwards across a producer restart.
+        The parent's device did not run while the child produced: its
+        clock, sample counter, marker queue, sensor noise and fault
+        generator are stale.  The child reports them at exit, so a
+        restarted stream continues exactly as a thread producer's would.
+        After a crash the ring's samples-pushed counter still lets the
+        clock advance, so time never goes backwards across a restart.
         """
-        state = worker.final_state or {}
-        firmware = getattr(self.link, "firmware", None)
-        if firmware is not None:
-            produced = state.get("samples_produced")
-            if produced is None:
-                produced = firmware.samples_produced + worker.ring.samples_pushed
-            delta = int(produced) - firmware.samples_produced
-            if delta > 0:
-                firmware.clock.tick(delta)
-                firmware.samples_produced += delta
-            if "markers_pending" in state:
-                firmware._markers_pending = int(state["markers_pending"])
-            if "markers_dropped" in state:
-                firmware.markers_dropped = int(state["markers_dropped"])
-        models = getattr(self.link, "models", None)
-        injected = state.get("injected")
-        if models is not None and injected is not None:
-            for model, count in zip(models, injected):
-                model.injected = max(model.injected, int(count))
-            mirror = getattr(self.link, "_mirror_injected", None)
-            if mirror is not None:
-                mirror()
+        state = worker.final_state
+        firmware = self.link.firmware
+        if not state:  # crashed: only the ring's sample count survives
+            pushed = worker.ring.samples_pushed
+            state = {"samples_produced": firmware.samples_produced + pushed}
+        delta = int(state["samples_produced"]) - firmware.samples_produced
+        if delta > 0:
+            firmware.clock.tick(delta)
+            firmware.samples_produced += delta
+        if "noise" in state:  # the child exited normally
+            firmware._markers_pending = state["markers_pending"]
+            firmware.markers_dropped = state["markers_dropped"]
+            _restore(_noise_models(firmware.baseboard), state["noise"])
+        if "models" in state:
+            self.link.rng.bit_generator.state = state["fault_rng"]
+            _restore(self.link.models, state["models"])
+            self.link._mirror_injected()
 
     def _stop(self) -> None:
         self._armed = False
@@ -636,20 +628,11 @@ class ProducerLink:
 
     # -- consumer read path --------------------------------------------- #
 
-    def _clean_bps(self) -> int:
-        firmware = getattr(self.link, "firmware", None)
-        return firmware.bytes_per_sample() if firmware is not None else 0
-
     def _next_record(self, worker: _RingWorker):
         ring = worker.ring
         record = ring.pop()
         if record is not None:
             return record
-        if worker.mode == "inline":
-            if ring.eos:
-                return None
-            worker.inline_fill()
-            return ring.pop()
         deadline = time.monotonic() + self.stall_timeout
         while True:
             record = ring.pop()
@@ -687,7 +670,7 @@ class ProducerLink:
         if n_samples <= 0:
             return b""
         worker.ring.release()  # views from the previous call die here
-        bps = self._clean_bps()
+        bps = self.link.firmware.bytes_per_sample()
         parts: list = []
         covered = 0
         record = self._carry
@@ -702,7 +685,7 @@ class ProducerLink:
             payload, samples = record
             record = None
             remaining = n_samples - covered
-            if samples > remaining and bps:
+            if samples > remaining:
                 take = min(remaining * bps, len(payload))
                 if take:
                     head = payload[:take]
@@ -734,43 +717,38 @@ class ProducerLink:
 class CodeRingProducer:
     """Batched ADC-code producer for :class:`DirectSampleSource`.
 
-    The producer owns a private clock snapshotted from the consumer's at
-    start and pushes ``(batch, 8)`` uint16 code blocks through the ring;
+    The producer owns a private copy of the consumer's clock, taken at
+    start, and pushes ``(batch, 8)`` uint16 code blocks through the ring;
     the consumer reconstructs codes with one ``np.frombuffer`` per record
     and keeps computing timestamps and markers from its own clock, so the
-    consumer-visible stream is continuous across producer restarts.
+    consumer-visible stream is continuous across producer restarts.  A
+    forked producer hands its sensor noise state back at :meth:`close`.
     """
 
     BYTES_PER_ROW = 16  # 8 sensors x uint16
 
     def __init__(
-        self,
-        baseboard,
-        start_time: float,
-        producer: str = "auto",
-        batch: int = DEFAULT_BATCH,
-        ring_bytes: int = DEFAULT_RING_BYTES,
-        stall_timeout: float = 5.0,
+        self, baseboard, clock, producer: str = "auto", stall_timeout: float = 5.0
     ) -> None:
         import numpy as np
-
-        from repro.common.clock import VirtualClock
 
         self.mode = resolve_producer_mode(producer)
         self.stall_timeout = float(stall_timeout)
         self._baseboard = baseboard
-        self._clock = VirtualClock(start=start_time)
-        self._clock.configure_ticks(baseboard.timing.output_interval_s)
+        self._clock = copy.copy(clock)
         self._np = np
 
         def pump(n: int) -> bytes:
-            start = self._clock.now
-            codes = baseboard.averaged_codes(start, n)
-            self._clock.tick(n)
+            clock = self._clock
+            codes = baseboard.averaged_codes(clock.origin, n, clock.ticks)
+            clock.tick(n)
             return np.ascontiguousarray(codes, dtype="<u2").tobytes()
 
         self._worker = _RingWorker(
-            self.mode, ring_bytes, pump, int(batch), lambda cmd: None
+            self.mode,
+            pump,
+            lambda cmd: None,
+            lambda: {"noise": [vars(noise) for noise in _noise_models(baseboard)]},
         )
         self._worker.start()
         self.error: str | None = None
@@ -799,11 +777,6 @@ class CodeRingProducer:
                 )
                 ring.release()
                 return codes
-            if worker.mode == "inline":
-                if ring.eos:
-                    return None
-                worker.inline_fill()
-                continue
             if ring.eos or not worker.alive():
                 worker.drain_state()
                 self.error = self.error or worker.error
@@ -815,5 +788,8 @@ class CodeRingProducer:
             time.sleep(_POLL_S)
 
     def close(self) -> None:
-        self._worker.close()
-        self.error = self.error or self._worker.error
+        worker = self._worker
+        worker.close()
+        self.error = self.error or worker.error
+        if worker.final_state:
+            _restore(_noise_models(self._baseboard), worker.final_state["noise"])

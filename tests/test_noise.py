@@ -55,16 +55,32 @@ def test_ou_chunked_continuity():
 
 
 def test_ou_sequential_and_uniform_agree_statistically():
-    seq = OrnsteinUhlenbeckNoise(1.5, 500.0, RngStream(4)).sample(
-        np.arange(50_000) * 1e-4
+    # Same seed, same grid: the sequential loop and the lfilter pass give
+    # the same values bit for bit.  The grid step is a power of two, so
+    # every np.diff of the grid times is exactly dt.
+    start, dt, n = 0.25, 2.0**-14, 50_000
+    seq_noise = OrnsteinUhlenbeckNoise(1.5, 500.0, RngStream(4))
+    fast_noise = OrnsteinUhlenbeckNoise(1.5, 500.0, RngStream(4))
+    seq = seq_noise.sample(start + dt * np.arange(n))
+    fast = fast_noise.sample_uniform(start, dt, n)
+    np.testing.assert_array_equal(seq, fast)
+    # Both carry the same state into the next call.
+    later = start + dt * (n + 10)
+    np.testing.assert_array_equal(
+        seq_noise.sample(np.array([later])), fast_noise.sample(np.array([later]))
     )
-    fast = OrnsteinUhlenbeckNoise(1.5, 500.0, RngStream(5)).sample_uniform(
-        0.0, 1e-4, 50_000
-    )
-    assert seq.std() == pytest.approx(fast.std(), rel=0.05)
-    rho_seq = np.corrcoef(seq[:-1], seq[1:])[0, 1]
-    rho_fast = np.corrcoef(fast[:-1], fast[1:])[0, 1]
-    assert rho_seq == pytest.approx(rho_fast, abs=0.02)
+
+
+@pytest.mark.parametrize("cuts", [[1], [500, 501], [7, 1000, 4095]])
+def test_ou_uniform_grid_is_chunking_invariant(cuts):
+    start, dt, n = 0.01, 8.3e-6, 4096
+    whole = OrnsteinUhlenbeckNoise(0.2, 23_400.0, RngStream(7)).sample_uniform(start, dt, n)
+    noise = OrnsteinUhlenbeckNoise(0.2, 23_400.0, RngStream(7))
+    edges = [0, *cuts, n]
+    parts = [
+        noise.sample_uniform(start, dt, hi - lo, lo) for lo, hi in zip(edges, edges[1:])
+    ]
+    np.testing.assert_array_equal(np.concatenate(parts), whole)
 
 
 def test_ou_rejects_bad_parameters():

@@ -1,20 +1,29 @@
-"""Producer-ring tests (PR 7).
+"""Producer-ring tests.
 
 Three layers of pinning for the shared-memory producer path:
 
 * SPSC ring invariants — wrap, overflow refusal, FIFO order, zero-copy
   contiguity — on a plain bytearray buffer (no workers involved);
-* stream equivalence — ``producer=thread`` and ``producer=process``
-  must be byte-identical to the inline reference across the PR-1 fault
-  matrix, in both protocol and direct mode;
+* stream equivalence against the plain path, where device simulation
+  runs inline on the read path — on a clean stream ``producer=thread``
+  and ``producer=process`` give the plain stream for any sequence of
+  reads, in both protocol and direct mode.  Fault models draw per link
+  read, so across the fault matrix both modes give the plain link read
+  one producer batch at a time, and hence each other, also across a
+  STOP/START cycle;
 * lifecycle — lazy worker launch, duplicate START, producer crash
   surfacing as the usual stall/recovery path, and close() leaving no
   /dev/shm segment behind.
+
+Tests that need a small batch or ring patch ``DEFAULT_BATCH`` and
+``DEFAULT_RING_BYTES``, which a producer reads when it starts.
 """
 
 from __future__ import annotations
 
 import os
+import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,12 +33,20 @@ from repro.common.errors import ConfigurationError, StreamStalledError
 from repro.core.fleet import Fleet
 from repro.core.setup import simulated_source
 from repro.server.daemon import PowerSensorServer
+from repro.transport import shm
 from repro.transport.shm import (
     _HEADER,
     SpscByteRing,
     resolve_producer_mode,
 )
 from tests.conftest import make_loaded_setup
+
+
+@pytest.fixture
+def small_batches(monkeypatch):
+    """1024-sample batches in a 64 KiB ring: many records, quick to fill."""
+    monkeypatch.setattr(shm, "DEFAULT_BATCH", 1024)
+    monkeypatch.setattr(shm, "DEFAULT_RING_BYTES", 1 << 16)
 
 
 def _ring(capacity: int = 256) -> SpscByteRing:
@@ -127,7 +144,7 @@ def test_ring_is_fifo_and_lossless(sizes):
 
 
 # --------------------------------------------------------------------- #
-# Producer equivalence across the fault matrix                          #
+# Producer equivalence                                                  #
 # --------------------------------------------------------------------- #
 
 FAULT_MATRIX = [
@@ -139,56 +156,127 @@ FAULT_MATRIX = [
     "drop:0.03,flip:0.005,partial:0.3",
 ]
 
+READS = (700, 1, 4096, 333, 2048)
 
-def _stream_bytes(producer, faults, reads=(700, 1, 4096, 333, 2048)):
+
+def _source(producer, faults=None, direct=False, seed=9):
     src = simulated_source(
         "pcie_slot_12v,usbc",
-        seed=9,
+        seed=seed,
+        direct=direct,
         faults=faults,
         fault_seed=21,
         calibrate=False,
         producer=producer,
-        producer_batch=1024,
     )
     src.start()
+    return src
+
+
+def _stream_bytes(producer, faults, reads=READS):
+    src = _source(producer, faults)
     out = []
     for n in reads:
         block, raw = src.read_block_raw(n)
-        out.append((bytes(raw), block.times.tobytes(), block.values.tobytes()))
+        out.append((raw, block.times.tobytes(), block.values.tobytes()))
     src.bench.close()
     return out
 
 
-# The reference is producer="inline" — the same ring and batch size,
-# filled synchronously.  producer=None would chunk device production
-# per-read, and production (stateful noise RNG) is deliberately not
-# chunking-invariant; that's the documented opt-in caveat of producer=.
+def _plain_batches(faults, n_samples):
+    """The plain link read one producer batch at a time, concatenated."""
+    src = _source(None, faults)
+    batches = -(-n_samples // shm.DEFAULT_BATCH)
+    raw = b"".join(src.bench.link.pump_samples(shm.DEFAULT_BATCH) for _ in range(batches))
+    src.bench.close()
+    return raw
+
+
+# The reference is the plain link, which runs device simulation inline on
+# the read path.  Clean streams are chunking-invariant, so the producer
+# stream equals the plain stream read after read.  Fault models draw once
+# per link read, so a faulted producer stream equals the plain link read
+# in producer batches instead (and so each mode equals the other).
 @pytest.mark.parametrize("mode", ["thread", "process"])
 @pytest.mark.parametrize("faults", FAULT_MATRIX, ids=lambda f: f or "clean")
-def test_producer_stream_is_byte_identical_to_inline(mode, faults):
-    assert _stream_bytes(mode, faults) == _stream_bytes("inline", faults)
+def test_producer_stream_is_byte_identical_to_inline(small_batches, mode, faults):
+    got = _stream_bytes(mode, faults)
+    if faults is None:
+        assert got == _stream_bytes(None, None)
+    raw = b"".join(raw for raw, _, _ in got)
+    assert raw == _plain_batches(faults, sum(READS))[: len(raw)]
 
 
 @pytest.mark.parametrize("mode", ["thread", "process"])
 def test_direct_producer_matches_inline(mode):
     def run(producer):
-        src = simulated_source(
-            "pcie_slot_12v", seed=3, direct=True, calibrate=False, producer=producer
-        )
-        src.start()
-        blocks = [src.read_block(n) for n in (500, 77, 2000)]
+        src = _source(producer, direct=True, seed=3)
+        blocks = [src.read_block(n) for n in (500, 77, 9000)]
         out = [(b.times.tobytes(), b.values.tobytes()) for b in blocks]
         src.bench.close()
         return out
 
-    assert run(mode) == run("inline")
+    assert run(mode) == run(None)
 
 
-def test_read_block_returns_ring_view_zero_copy():
-    # A whole-record read comes straight out of the ring (no join copy).
-    src = simulated_source(
-        "pcie_slot_12v", seed=1, calibrate=False, producer="thread", producer_batch=512
+@settings(max_examples=8, deadline=None)
+@given(
+    reads=st.lists(st.integers(min_value=1, max_value=1500), min_size=1, max_size=8),
+    direct=st.booleans(),
+)
+def test_clean_producers_match_plain_path_for_any_reads(reads, direct):
+    def run(producer):
+        src = _source(producer, direct=direct, seed=2)
+        blocks = [src.read_block(n) for n in reads]
+        out = [(b.times.tobytes(), b.values.tobytes()) for b in blocks]
+        src.bench.close()
+        return out
+
+    with mock.patch.object(shm, "DEFAULT_BATCH", 512):
+        want = run(None)
+        for mode in ("thread", "process"):
+            assert run(mode) == want, mode
+
+
+def _restarted_stream(producer, faults, direct):
+    src = _source(producer, faults, direct=direct, seed=5)
+    blocks = [src.read_block(700)]
+    ring = src._code_producer.ring if direct else src.bench.link.ring
+    deadline = time.monotonic() + 10.0
+    while ring.occupancy() < ring.capacity:  # wait until the producer blocks
+        assert time.monotonic() < deadline, "the producer never filled the ring"
+        time.sleep(0.01)
+    src.stop()
+    src.start()
+    blocks += [src.read_block(n) for n in (3000, 1500)]
+    src.bench.close()
+    return [(b.times.tobytes(), b.values.tobytes()) for b in blocks]
+
+
+# A forked producer hands its sensor noise and fault generator back at
+# STOP, so the restarted stream continues as a thread producer's does.
+# STOP lands on a producer blocked on a full ring, which then holds one
+# unpushed batch in either mode.  The ring holds exactly four records
+# (flips keep record sizes fixed), so "full" is occupancy == capacity.
+@pytest.mark.parametrize(
+    "faults, direct",
+    [(None, False), ("flip:0.01", False), (None, True)],
+    ids=["protocol-clean", "protocol-flip", "direct-clean"],
+)
+def test_producer_modes_match_across_stop_start(monkeypatch, faults, direct):
+    batch = 1024
+    row_bytes = 16 if direct else 10  # direct: 8 uint16 codes; wire: 2 pairs + timestamp
+    monkeypatch.setattr(shm, "DEFAULT_BATCH", batch)
+    monkeypatch.setattr(shm, "DEFAULT_RING_BYTES", 4 * (8 + batch * row_bytes))
+    assert _restarted_stream("process", faults, direct) == _restarted_stream(
+        "thread", faults, direct
     )
+
+
+def test_read_block_returns_ring_view_zero_copy(monkeypatch):
+    # A whole-record read comes straight out of the ring (no join copy).
+    monkeypatch.setattr(shm, "DEFAULT_BATCH", 512)
+    src = simulated_source("pcie_slot_12v", seed=1, calibrate=False, producer="thread")
     src.start()
     _, raw = src.read_block_raw(512)
     assert isinstance(raw, bytes) and len(raw) == 512 * 6
@@ -233,14 +321,9 @@ def test_duplicate_start_while_producing_is_a_noop():
     setup.close()
 
 
-def test_producer_crash_surfaces_as_stall_not_hang():
-    setup = make_loaded_setup(
-        direct=False,
-        producer="process",
-        calibration_samples=1024,
-        producer_batch=1024,
-        ring_bytes=1 << 16,  # small ring: drains within a few reads
-    )
+def test_producer_crash_surfaces_as_stall_not_hang(small_batches):
+    # The small ring drains within a few reads.
+    setup = make_loaded_setup(direct=False, producer="process", calibration_samples=1024)
     setup.ps.pump(1000)  # launches the worker
     worker = setup.link._worker
     worker._process.terminate()
@@ -276,15 +359,10 @@ def test_auto_mode_resolves_for_this_box():
         resolve_producer_mode("hovercraft")
 
 
-def test_ring_too_small_for_batch_surfaces_as_producer_error():
-    src = simulated_source(
-        "pcie_slot_12v",
-        seed=0,
-        calibrate=False,
-        producer="thread",
-        producer_batch=4096,
-        ring_bytes=8192,  # one 24 KiB record can never fit
-    )
+def test_ring_too_small_for_batch_surfaces_as_producer_error(monkeypatch):
+    monkeypatch.setattr(shm, "DEFAULT_BATCH", 4096)
+    monkeypatch.setattr(shm, "DEFAULT_RING_BYTES", 8192)  # a 24 KiB record never fits
+    src = simulated_source("pcie_slot_12v", seed=0, calibrate=False, producer="thread")
     src.start()
     # The worker dies on its first push; the consumer sees an empty read
     # (recovery's signal) and the error is kept for diagnostics.
@@ -296,10 +374,7 @@ def test_ring_too_small_for_batch_surfaces_as_producer_error():
 
 def test_fleet_spec_accepts_producer_options():
     fleet = Fleet()
-    fleet.add_spec(
-        "sim://pcie_slot_12v?device=p&calibrate=false"
-        "&producer=thread&producer_batch=2048"
-    )
+    fleet.add_spec("sim://pcie_slot_12v?device=p&calibrate=false&producer=thread")
     block = fleet.read_all(0.1)
     assert len(block["p"]) == 2000
     fleet.close()

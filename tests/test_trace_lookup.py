@@ -35,8 +35,8 @@ class ReferenceTraceRail:
         self.trace = trace
         self.offset = float(offset)
 
-    def sample_uniform(self, start: float, dt: float, n: int):
-        times = start - self.offset + dt * np.arange(n)
+    def sample_uniform(self, start: float, dt: float, n: int, first: int = 0):
+        times = start - self.offset + dt * np.arange(first, first + n)
         idx = reference_hold_index(self.trace, times)
         return self.trace.volts[idx].copy(), self.trace.amps[idx].copy()
 
