@@ -90,8 +90,3 @@ def measure_step(
         low_level=low,
         high_level=high,
     )
-
-
-def falling_to_rising(values: np.ndarray) -> np.ndarray:
-    """Mirror a falling-step capture so :func:`measure_step` applies."""
-    return -np.asarray(values, dtype=float)

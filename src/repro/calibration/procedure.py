@@ -3,7 +3,9 @@
 ``calibrate_slot`` reproduces the paper's command-line-guided flow for one
 module: connect a known, unloaded supply; average 128 k samples; store the
 measured zero-current reference voltage for the current sensor and the
-measured gain for the voltage sensor into the EEPROM.
+measured gain for the voltage sensor into the EEPROM.  Only the module
+being calibrated is simulated, so its neighbours' streams do not depend
+on how many modules the board holds.
 """
 
 from __future__ import annotations
@@ -76,13 +78,13 @@ def calibrate_slot(
     previous_rail = channel.rail
     channel.rail = ConstantRail(volts=reference_voltage, amps=0.0)
     try:
-        codes = baseboard.averaged_codes(start_time, n_samples)
+        codes = baseboard.slot_averaged_codes(slot, start_time, n_samples)
     finally:
         channel.rail = previous_rail
 
     lsb = baseboard.adc.lsb
-    vref = float((codes[:, 2 * slot].mean() + 0.5) * lsb)
-    volts_reading = float((codes[:, 2 * slot + 1].mean() + 0.5) * lsb)
+    vref = float((codes[:, 0].mean() + 0.5) * lsb)
+    volts_reading = float((codes[:, 1].mean() + 0.5) * lsb)
     gain = volts_reading / reference_voltage
 
     # Sanity bounds: vref should be near midscale, gain near the datasheet

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.analysis.accuracy import worst_case_accuracy
 from repro.common.errors import CalibrationError
-from repro.core.sources import convert_codes
 from repro.dut.instruments import ElectronicLoad, LabSupply, LoadedSupplyRail
 from repro.hardware.baseboard import Baseboard
 from repro.hardware.eeprom import VirtualEeprom
@@ -84,6 +83,7 @@ def verify_slot(
     supply = LabSupply(volts, source_impedance_ohms=0.0)
     sweep = np.linspace(-spec.max_current_a, spec.max_current_a, n_points)
 
+    current_cfg, voltage_cfg = eeprom.get(2 * slot), eeprom.get(2 * slot + 1)
     previous_rail = channel.rail
     points = []
     try:
@@ -92,9 +92,11 @@ def verify_slot(
             load.set_current(float(amps))
             channel.rail = LoadedSupplyRail(supply, load)
             # Capture after the turn-on slew has settled.
-            codes = baseboard.averaged_codes(0.01, n_samples)
-            values, _ = convert_codes(codes, eeprom.configs)
-            power = values[:, 2 * slot] * values[:, 2 * slot + 1]
+            codes = baseboard.slot_averaged_codes(slot, 0.01, n_samples)
+            adc_volts = (codes + 0.5) * baseboard.adc.lsb
+            power = current_cfg.convert(adc_volts[:, 0]) * voltage_cfg.convert(
+                adc_volts[:, 1]
+            )
             expected = volts * float(amps)
             error = power - expected
             points.append(

@@ -114,9 +114,6 @@ class Experiment:
             f"(schema: {[p.name for p in self.params] or 'none'})"
         )
 
-    def param_names(self) -> list[str]:
-        return [p.name for p in self.params]
-
     def scaled_args(self, full: bool = False) -> dict[str, Any]:
         """The fully resolved parameter dict at bench or paper scale."""
         return {p.name: p.value(full) for p in self.params}

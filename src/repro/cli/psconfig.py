@@ -126,7 +126,10 @@ def _apply(args: argparse.Namespace, setup) -> int:
                 f"(offset {result.offset_correction_volts * 1e3:+.2f} mV), "
                 f"voltage gain={result.voltage_gain:.5f}"
             )
+        # The device answers config reads only while not streaming.
+        ps.source.stop()
         ps.source.refresh_configs()
+        ps.source.start()
 
     if args.verify:
         from repro.calibration.verification import verify_all

@@ -13,7 +13,7 @@ from repro.common.errors import (
     ServerError,
     TransportError,
 )
-from repro.common.noise import OrnsteinUhlenbeckNoise, WhiteNoise
+from repro.common.noise import OrnsteinUhlenbeckNoise
 from repro.common.retry import DEFAULT_RECOVERY, RecoveryPolicy
 from repro.common.rng import RngStream
 from repro.common.stats import SampleSummary, block_average, summarize
@@ -40,7 +40,6 @@ __all__ = [
     "RecoveryPolicy",
     "DEFAULT_RECOVERY",
     "OrnsteinUhlenbeckNoise",
-    "WhiteNoise",
     "RngStream",
     "SampleSummary",
     "block_average",

@@ -1,4 +1,4 @@
-"""Band-limited and white Gaussian noise sources.
+"""Band-limited Gaussian noise for the sensor front-ends.
 
 The PowerSensor3 sensor front-ends are band-limited analog parts: the
 MLX91221 Hall current sensor has a 300 kHz bandwidth and the ACPL-C87B
@@ -19,23 +19,6 @@ import numpy as np
 from repro.common.rng import RngStream
 
 
-class WhiteNoise:
-    """IID Gaussian noise with fixed standard deviation."""
-
-    def __init__(self, sigma: float, rng: RngStream) -> None:
-        if sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {sigma}")
-        self.sigma = float(sigma)
-        self._rng = rng
-
-    def sample(self, times: np.ndarray) -> np.ndarray:
-        """Noise values at the given sample times (times are ignored)."""
-        times = np.asarray(times, dtype=float)
-        if self.sigma == 0.0:
-            return np.zeros_like(times)
-        return self._rng.normal(0.0, self.sigma, size=times.shape)
-
-
 class OrnsteinUhlenbeckNoise:
     """Stationary Gaussian noise with exponential autocorrelation.
 
@@ -44,9 +27,9 @@ class OrnsteinUhlenbeckNoise:
     a single-pole low-pass filtered white source of the given -3 dB
     bandwidth.
 
-    The generator is *stateful*: successive calls to :meth:`sample` continue
-    the process from the previous call's last value and time, so a stream
-    can be produced chunk by chunk without breaking correlations.
+    The generator is *stateful*: successive calls to :meth:`sample_uniform`
+    continue the process from the previous call's last value and time, so
+    a stream can be produced chunk by chunk without breaking correlations.
     """
 
     def __init__(self, sigma: float, bandwidth_hz: float, rng: RngStream) -> None:
@@ -74,45 +57,6 @@ class OrnsteinUhlenbeckNoise:
 
     def _innovation_sigma(self, rho: float) -> float:
         return self.sigma * math.sqrt(max(1.0 - rho * rho, 0.0))
-
-    def sample(self, times: np.ndarray) -> np.ndarray:
-        """Noise values at strictly non-decreasing sample times (seconds).
-
-        Draws exactly one normal per sample, like :meth:`sample_uniform`,
-        so on a grid whose steps are exact in binary the two give the
-        same values for the same seed.
-        """
-        times = np.asarray(times, dtype=float)
-        if times.ndim != 1:
-            raise ValueError("times must be a 1-D array")
-        n = times.size
-        if n == 0:
-            return np.zeros(0)
-        if np.any(np.diff(times) < 0):
-            raise ValueError("times must be non-decreasing")
-        self._grid = None
-        if self.sigma == 0.0:
-            self._last_time = float(times[-1])
-            self._last_value = 0.0
-            return np.zeros(n)
-
-        z = self._rng.normal(0.0, 1.0, size=n)
-        out = np.empty(n)
-        # Sequential recurrence for arbitrary time grids; the sensors'
-        # uniform ADC scan grid uses the vectorised sample_uniform below.
-        prev_t = self._last_time
-        x = self._last_value
-        for i in range(n):
-            t = float(times[i])
-            # No history: the first value is drawn from the stationary law.
-            rho = 0.0 if prev_t is None else self._decay(t - prev_t)
-            x = rho * x + z[i] * self._innovation_sigma(rho)
-            out[i] = x
-            prev_t = t
-
-        self._last_time = prev_t
-        self._last_value = float(x)
-        return out
 
     def sample_uniform(
         self, start: float, dt: float, n: int, first: int = 0

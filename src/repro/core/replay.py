@@ -139,11 +139,6 @@ class TapeSampleSource(SampleSource):
     def mark(self) -> None:
         self._marker_pending += 1
 
-    def rewind(self) -> None:
-        """Restart the tape from the first sample."""
-        self._cursor = 0
-        self._pass = 0
-
     def refresh_configs(self) -> None:  # the recording is the config
         pass
 

@@ -52,11 +52,11 @@ class SimulatedSetup:
         registry: metrics registry shared by every layer of the bench
             (fault layer, sample source, PowerSensor); a fresh one is
             created if not given.
-        producer: run device simulation in a batching producer feeding a
-            shared SPSC ring (``"thread"``, ``"process"`` or ``"auto"``;
-            see :mod:`repro.transport.shm`).  ``None`` (default) keeps the
-            classic interleaved pump.  On a clean stream both give the
-            same bytes.
+        producer: run the firmware simulation in a batching producer
+            feeding a shared SPSC ring (``"thread"``, ``"process"`` or
+            ``"auto"``; see :mod:`repro.transport.shm`); protocol path
+            only.  ``None`` (default) keeps the classic interleaved pump.
+            On a clean stream both give the same bytes.
 
     Attributes:
         baseboard, eeprom, firmware (None on the direct path), link (None
@@ -109,10 +109,11 @@ class SimulatedSetup:
 
         fault_models = parse_fault_spec(faults) if isinstance(faults, str) else faults
         if direct:
-            if fault_models:
+            if fault_models or producer:
                 raise ConfigurationError(
-                    "fault injection requires the byte-accurate protocol path "
-                    "(construct the bench without direct=True)"
+                    "fault injection and the producer ring require the "
+                    "byte-accurate protocol path (construct the bench "
+                    "without direct=True)"
                 )
             self.firmware = None
             self.link = None
@@ -123,7 +124,6 @@ class SimulatedSetup:
                     registry=self.registry,
                     tracer=self.tracer,
                     device=device,
-                    producer=producer,
                 )
             )
         else:

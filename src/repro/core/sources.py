@@ -49,7 +49,6 @@ from repro.observability import MetricsRegistry, Tracer
 from repro.hardware.baseboard import Baseboard
 from repro.hardware.eeprom import RECORD_SIZE, SENSORS, SensorConfig, VirtualEeprom
 from repro.transport.link import VirtualSerialLink
-from repro.transport.shm import CodeRingProducer, resolve_producer_mode
 
 #: ADC reconstruction constants shared by firmware display, host and direct path.
 ADC_VREF = 3.3
@@ -576,15 +575,7 @@ class ProtocolSampleSource(SampleSource):
 
 
 class DirectSampleSource(SampleSource):
-    """Vectorised source reading the baseboard directly (no byte encoding).
-
-    With ``producer=`` set, sensor physics runs in a batching producer
-    (a thread or a forked process — see :mod:`repro.transport.shm`) that
-    pushes raw ADC code blocks through a shared SPSC ring;
-    :meth:`read_block` then only reassembles codes into one pre-sized
-    array and converts.  Device simulation is chunking-invariant, so the
-    stream is the same as without a producer, for any sequence of reads.
-    """
+    """Vectorised source reading the baseboard directly (no byte encoding)."""
 
     def __init__(
         self,
@@ -594,7 +585,6 @@ class DirectSampleSource(SampleSource):
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         device: str | None = None,
-        producer: str | None = None,
     ) -> None:
         self.baseboard = baseboard
         self.eeprom = eeprom
@@ -618,9 +608,6 @@ class DirectSampleSource(SampleSource):
         )
         self._marker_pending = 0
         self.streaming = False
-        self._producer_mode = resolve_producer_mode(producer) if producer else None
-        self._code_producer = None
-        self._code_carry: np.ndarray | None = None
 
     @property
     def configs(self) -> list[SensorConfig]:
@@ -641,61 +628,11 @@ class DirectSampleSource(SampleSource):
     def start(self) -> None:
         self.streaming = True
 
-    def _launch_producer(self):
-        """Launch the code producer on the first read, not at start().
-
-        Deferred for the same reason as :class:`ProducerLink`: benches
-        keep wiring themselves up (DUT rail connection) after streaming
-        starts, and a worker launched at start() would snapshot the
-        half-built baseboard.
-        """
-        self._code_carry = None
-        self._code_producer = CodeRingProducer(
-            self.baseboard, self.clock, producer=self._producer_mode
-        )
-        return self._code_producer
-
     def stop(self) -> None:
-        if self._code_producer is not None:
-            self._code_producer.close()
-            self._code_producer = None
-            self._code_carry = None
         self.streaming = False
 
     def mark(self) -> None:
         self._marker_pending += 1
-
-    def _gather_codes(self, n_samples: int) -> np.ndarray:
-        """Fill a pre-sized code buffer from the producer ring.
-
-        Consumes whole ring records (plus any carried remainder) until
-        ``n_samples`` rows are filled or the producer ends; a dead or
-        stopped producer simply yields a short (possibly empty) result,
-        which the recovery machinery upstream treats as a stall.
-        """
-        producer = self._code_producer
-        if producer is None:
-            producer = self._launch_producer()
-        out = np.empty((n_samples, SENSORS), dtype=np.int64)
-        filled = 0
-        carry = self._code_carry
-        self._code_carry = None
-        if carry is not None and len(carry):
-            take = min(len(carry), n_samples)
-            out[:take] = carry[:take]
-            if take < len(carry):
-                self._code_carry = carry[take:]
-            filled = take
-        while filled < n_samples:
-            codes = producer.next_codes()
-            if codes is None:
-                break
-            take = min(len(codes), n_samples - filled)
-            out[filled : filled + take] = codes[:take]
-            if take < len(codes):
-                self._code_carry = codes[take:]
-            filled += take
-        return out[:filled]
 
     def read_block(self, n_samples: int) -> SampleBlock:
         timing = self.baseboard.timing
@@ -708,11 +645,7 @@ class DirectSampleSource(SampleSource):
                 enabled=np.array([c.enabled for c in self.configs]),
             )
         origin, first = self.clock.origin, self.clock.ticks
-        if self._producer_mode:
-            codes = self._gather_codes(n_samples)
-            n_samples = len(codes)  # short on producer stop/crash
-        else:
-            codes = self.baseboard.averaged_codes(origin, n_samples, first)
+        codes = self.baseboard.averaged_codes(origin, n_samples, first)
         self.clock.tick(n_samples)
         self.health.samples_decoded += n_samples
         values, enabled = convert_codes(codes, self.configs)

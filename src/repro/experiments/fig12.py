@@ -22,23 +22,15 @@ import numpy as np
 
 from repro.common.units import GIB
 from repro.core.setup import SimulatedSetup
-from repro.dut.base import TraceRail
 from repro.dut.ssd import Ssd, SsdSpec
 from repro.campaign import registry
 from repro.campaign.registry import Param
 from repro.experiments.common import ExperimentResult
 from repro.storage.engine import IoEngine, precondition
 from repro.storage.fio import FioJob
+from repro.storage.jobfile import measure_trace
 
 READ_SIZES = ("1k", "4k", "16k", "64k", "128k", "256k", "512k", "1m", "2m", "4m")
-
-
-def _ps3_mean_power(setup: SimulatedSetup, trace, duration: float) -> float:
-    """Measure a rendered power trace with the PowerSensor3 bench."""
-    rail = TraceRail(trace, offset=setup.ps.source.clock.now)
-    setup.connect(0, rail)
-    block = setup.ps.pump_seconds(duration)
-    return float(block.pair_power(0).mean())
 
 
 def run(
@@ -65,7 +57,7 @@ def run(
     for size in READ_SIZES:
         job = FioJob(rw="randread", bs=size, iodepth=4, runtime_s=read_runtime_s)
         outcome = engine.run(job)
-        measured = _ps3_mean_power(
+        measured = measure_trace(
             setup, outcome.power_trace(volts=3.3), read_runtime_s
         )
         read_bw.append(outcome.mean_bandwidth)
@@ -91,7 +83,7 @@ def run(
     ssd.idle_flush()
     job = FioJob(rw="randwrite", bs="4k", iodepth=4, runtime_s=write_runtime_s)
     outcome = engine.run(job)
-    measured = _ps3_mean_power(setup, outcome.power_trace(volts=3.3), write_runtime_s)
+    measured = measure_trace(setup, outcome.power_trace(volts=3.3), write_runtime_s)
     setup.close()
 
     # Aggregate to 1-second granularity, as the paper plots.
@@ -178,7 +170,7 @@ def run_ftl_comparison(
         ssd.idle_flush()
         job = FioJob(rw="randwrite", bs="4k", iodepth=4, runtime_s=write_runtime_s)
         outcome = engine.run(job)
-        watts = _ps3_mean_power(
+        watts = measure_trace(
             setup, outcome.power_trace(volts=3.3), write_runtime_s
         )
         setup.close()

@@ -235,11 +235,6 @@ class Firmware:
         out = self.flush_responses() + packets.tobytes()
         return out
 
-    def produce_seconds(self, seconds: float) -> bytes:
-        """Produce the samples covering a span of simulated seconds."""
-        n = int(round(seconds / self.baseboard.timing.output_interval_s))
-        return self.produce(n)
-
     def flush_responses(self) -> bytes:
         """Drain queued command responses (config image, version string)."""
         out = bytes(self._tx)

@@ -48,17 +48,6 @@ class AdcTiming:
     def output_rate_hz(self) -> float:
         return 1.0 / self.output_interval_s
 
-    def channel_offsets(self) -> np.ndarray:
-        """Start time of each channel's conversion within one scan."""
-        return np.arange(self.channels) * self.conversion_time_s
-
-    def subsample_times(self, channel: int, sample_start: float) -> np.ndarray:
-        """Times of the ``averages`` conversions of one channel in one output sample."""
-        if not 0 <= channel < self.channels:
-            raise ValueError(f"channel {channel} out of range 0..{self.channels - 1}")
-        scan_starts = sample_start + np.arange(self.averages) * self.scan_time_s
-        return scan_starts + channel * self.conversion_time_s
-
 
 class Adc:
     """Ideal mid-tread quantiser with configurable resolution and reference."""

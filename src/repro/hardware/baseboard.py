@@ -108,36 +108,55 @@ class Baseboard:
         the slot's current sensor, ``2*slot + 1`` its voltage sensor;
         unpopulated channels read code 0.
         """
-        t = self.timing
-        total_sub = n_output * t.averages
-        scan = first * t.averages
-        codes = np.zeros((n_output, t.averages, CHANNELS), dtype=np.int16)
+        codes = np.zeros((n_output, self.timing.averages, CHANNELS), dtype=np.int16)
         for channel in self.populated_slots():
             slot = channel.slot
-            i_start = start + (2 * slot) * t.conversion_time_s
-            u_start = start + (2 * slot + 1) * t.conversion_time_s
-            if channel.rail is not None:
-                _, amps = channel.rail.sample_uniform(i_start, t.scan_time_s, total_sub, scan)
-                volts, _ = channel.rail.sample_uniform(u_start, t.scan_time_s, total_sub, scan)
-            else:
-                amps = np.zeros(total_sub)
-                volts = np.zeros(total_sub)
-            i_analog = channel.module.current_sensor.transduce_uniform(
-                amps, i_start, t.scan_time_s, scan
-            )
-            u_analog = channel.module.voltage_sensor.transduce_uniform(
-                volts, u_start, t.scan_time_s, scan
-            )
-            codes[:, :, 2 * slot] = self.adc.quantize(i_analog).reshape(
-                n_output, t.averages
-            )
-            codes[:, :, 2 * slot + 1] = self.adc.quantize(u_analog).reshape(
-                n_output, t.averages
-            )
+            self._read_slot(channel, start, first, codes[:, :, 2 * slot : 2 * slot + 2])
         return codes
 
     def averaged_codes(self, start: float, n_output: int, first: int = 0) -> np.ndarray:
         """Firmware-style averaged 10-bit values, shape (n_output, channels)."""
-        raw = self.read_codes(start, n_output, first)
+        return self._average(self.read_codes(start, n_output, first))
+
+    def slot_averaged_codes(self, slot: int, start: float, n_output: int) -> np.ndarray:
+        """One slot's averaged codes, shape ``(n_output, 2)``: current, voltage.
+
+        Only this slot's sensors are simulated, so measuring one module
+        (calibration, verification) leaves every other module's noise
+        stream untouched.  The scan grid is :meth:`read_codes`'s from
+        index 0.
+        """
+        raw = np.empty((n_output, self.timing.averages, 2), dtype=np.int16)
+        self._read_slot(self._channel(slot), start, 0, raw)
+        return self._average(raw)
+
+    def _read_slot(
+        self, channel: SensorChannel, start: float, first: int, out: np.ndarray
+    ) -> None:
+        """Fill ``out`` ``(n_output, averages, 2)`` with a slot's current and voltage codes."""
+        t = self.timing
+        n_output = out.shape[0]
+        total_sub = n_output * t.averages
+        scan = first * t.averages
+        slot = channel.slot
+        i_start = start + (2 * slot) * t.conversion_time_s
+        u_start = start + (2 * slot + 1) * t.conversion_time_s
+        if channel.rail is not None:
+            _, amps = channel.rail.sample_uniform(i_start, t.scan_time_s, total_sub, scan)
+            volts, _ = channel.rail.sample_uniform(u_start, t.scan_time_s, total_sub, scan)
+        else:
+            amps = np.zeros(total_sub)
+            volts = np.zeros(total_sub)
+        i_analog = channel.module.current_sensor.transduce_uniform(
+            amps, i_start, t.scan_time_s, scan
+        )
+        u_analog = channel.module.voltage_sensor.transduce_uniform(
+            volts, u_start, t.scan_time_s, scan
+        )
+        out[:, :, 0] = self.adc.quantize(i_analog).reshape(n_output, t.averages)
+        out[:, :, 1] = self.adc.quantize(u_analog).reshape(n_output, t.averages)
+
+    def _average(self, raw: np.ndarray) -> np.ndarray:
+        """Average the scans of ``raw`` (axis 1) the way the firmware rounds."""
         summed = raw.sum(axis=1, dtype=np.int64)
         return (summed + self.timing.averages // 2) // self.timing.averages

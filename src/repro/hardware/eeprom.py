@@ -69,10 +69,6 @@ class SensorConfig:
             enabled=enabled,
         )
 
-    @property
-    def record_size(self) -> int:
-        return _STRUCT.size
-
     def convert(self, adc_volts: float) -> float:
         """Convert an ADC-pin voltage to a physical value using these values.
 

@@ -19,8 +19,6 @@ estimates and corrects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.common.noise import OrnsteinUhlenbeckNoise
@@ -42,15 +40,6 @@ VOLTAGE_SENSOR_BANDWIDTH_HZ = 100_000.0
 #: independent, preserving the table's sqrt(N) block-averaging column.
 CURRENT_NOISE_BANDWIDTH_HZ = 23_400.0
 VOLTAGE_NOISE_BANDWIDTH_HZ = 100_000.0
-
-
-@dataclass
-class ProductionErrors:
-    """Static per-part deviations set once when a sensor is 'manufactured'."""
-
-    current_offset_a: float = 0.0  # Hall zero-current offset, amperes
-    voltage_gain_error: float = 0.0  # relative gain error of the voltage path
-    current_nonlinearity: float = 0.0  # cubic nonlinearity coefficient (1/A^2)
 
 
 class ExternalField:
@@ -187,19 +176,10 @@ class CurrentSensor:
             )
         return effective
 
-    def transduce(self, currents_a: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Analog output voltages for true currents at the given times."""
-        currents_a = np.asarray(currents_a, dtype=float)
-        times = np.asarray(times, dtype=float)
-        effective = self._effective_current(currents_a, times)
-        v = self.zero_current_voltage + self.sensitivity * effective
-        v = v + self._noise.sample(times)
-        return np.clip(v, 0.0, self.vdd)
-
     def transduce_uniform(
         self, currents_a: np.ndarray, start: float, dt: float, first: int = 0
     ) -> np.ndarray:
-        """Fast path: :meth:`transduce` at ``start + k*dt`` from ``k = first``."""
+        """Analog output voltages for true currents at ``start + k*dt``, ``k >= first``."""
         currents_a = np.asarray(currents_a, dtype=float)
         n = currents_a.size
         times = start + dt * np.arange(first, first + n)
@@ -237,18 +217,10 @@ class VoltageSensor:
             rng=rng.child("noise"),
         )
 
-    def transduce(self, volts_in: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Analog output voltages for true input voltages at given times."""
-        volts_in = np.asarray(volts_in, dtype=float)
-        times = np.asarray(times, dtype=float)
-        v = volts_in * self.gain * (1.0 + self.gain_error)
-        v = v + self._noise.sample(times)
-        return np.clip(v, 0.0, self.vdd)
-
     def transduce_uniform(
         self, volts_in: np.ndarray, start: float, dt: float, first: int = 0
     ) -> np.ndarray:
-        """Fast path: :meth:`transduce` at ``start + k*dt`` from ``k = first``."""
+        """Analog output voltages for input voltages at ``start + k*dt``, ``k >= first``."""
         volts_in = np.asarray(volts_in, dtype=float)
         v = volts_in * self.gain * (1.0 + self.gain_error)
         v = v + self._noise.sample_uniform(start, dt, volts_in.size, first)

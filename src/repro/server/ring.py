@@ -155,13 +155,6 @@ class RingCursor:
             self._cum = ring.samples_evicted
             self.pos = ring.tail
 
-    def pending_samples(self) -> int:
-        """Samples in retained frames this cursor has yet to consume."""
-        self._catch_up()
-        return sum(
-            self.ring.entry(i)[1] for i in range(self.pos, self.ring.head)
-        )
-
     def take(self, limit: int | None = None) -> list[tuple[bytes, int]]:
         """Consume up to ``limit`` ready frames, applying the policy.
 

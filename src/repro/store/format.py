@@ -303,9 +303,6 @@ class SealedSegment:
     def tier_factors(self) -> list[int]:
         return sorted(self._tiers)
 
-    def tier_rows(self, factor: int) -> int:
-        return int(self._tiers[factor]["n"])
-
     def _f8(self, offset: int, count: int) -> np.ndarray:
         return np.frombuffer(self._mm, dtype=_F8, count=count, offset=int(offset))
 

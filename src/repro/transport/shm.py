@@ -19,10 +19,8 @@ This module splits the pipeline at the transport layer:
   :class:`~repro.transport.faults.FaultySerialLink`) and runs
   ``pump_samples`` in :data:`DEFAULT_BATCH`-sample batches from a
   producer *thread* or forked *process* into the ring; the consumer's
-  ``pump_samples(n)`` only assembles ring views.
-* :class:`CodeRingProducer` — the same treatment for
-  :class:`~repro.core.sources.DirectSampleSource`: raw averaged ADC code
-  batches through the ring instead of wire bytes.
+  ``pump_samples(n)`` only assembles ring views.  It is the ring's one
+  consumer: the direct path has no producer.
 
 Determinism: device simulation is chunking-invariant (every scan time is
 laid out by index from the stream origin, and each sensor's noise draws
@@ -41,7 +39,6 @@ always joins the worker and unlinks the shared segment.
 
 from __future__ import annotations
 
-import copy
 import os
 import struct
 import threading
@@ -69,6 +66,7 @@ _PAD = 0xFFFFFFFF  # n_samples sentinel: skip to the ring edge
 _CMD_STOP = "stop"
 _CMD_MARK = "mark"
 _POLL_S = 25e-6  # consumer/producer poll sleep while waiting on the ring
+_STALL_S = 5.0  # consumer wait on an empty ring before a short read
 _JOIN_S = 10.0  # worker join timeout before escalating
 
 
@@ -463,10 +461,9 @@ class ProducerLink:
     call (ring space is only released then).
     """
 
-    def __init__(self, link, producer: str = "auto", stall_timeout: float = 5.0) -> None:
+    def __init__(self, link, producer: str = "auto") -> None:
         self.link = link
         self.mode = resolve_producer_mode(producer)
-        self.stall_timeout = float(stall_timeout)
         self._armed = False  # START seen; worker launches on the first read
         self._worker: _RingWorker | None = None
         self._carry: tuple[bytes, int] | None = None
@@ -633,7 +630,7 @@ class ProducerLink:
         record = ring.pop()
         if record is not None:
             return record
-        deadline = time.monotonic() + self.stall_timeout
+        deadline = time.monotonic() + _STALL_S
         while True:
             record = ring.pop()
             if record is not None:
@@ -712,84 +709,3 @@ class ProducerLink:
     def close(self) -> None:
         self._stop()
         self.link.close()
-
-
-class CodeRingProducer:
-    """Batched ADC-code producer for :class:`DirectSampleSource`.
-
-    The producer owns a private copy of the consumer's clock, taken at
-    start, and pushes ``(batch, 8)`` uint16 code blocks through the ring;
-    the consumer reconstructs codes with one ``np.frombuffer`` per record
-    and keeps computing timestamps and markers from its own clock, so the
-    consumer-visible stream is continuous across producer restarts.  A
-    forked producer hands its sensor noise state back at :meth:`close`.
-    """
-
-    BYTES_PER_ROW = 16  # 8 sensors x uint16
-
-    def __init__(
-        self, baseboard, clock, producer: str = "auto", stall_timeout: float = 5.0
-    ) -> None:
-        import numpy as np
-
-        self.mode = resolve_producer_mode(producer)
-        self.stall_timeout = float(stall_timeout)
-        self._baseboard = baseboard
-        self._clock = copy.copy(clock)
-        self._np = np
-
-        def pump(n: int) -> bytes:
-            clock = self._clock
-            codes = baseboard.averaged_codes(clock.origin, n, clock.ticks)
-            clock.tick(n)
-            return np.ascontiguousarray(codes, dtype="<u2").tobytes()
-
-        self._worker = _RingWorker(
-            self.mode,
-            pump,
-            lambda cmd: None,
-            lambda: {"noise": [vars(noise) for noise in _noise_models(baseboard)]},
-        )
-        self._worker.start()
-        self.error: str | None = None
-
-    @property
-    def ring(self) -> SpscByteRing:
-        return self._worker.ring
-
-    def next_codes(self):
-        """Next code block as an int64 ``(n, 8)`` array, or None at stream end.
-
-        Copies out of the ring (``astype``) and releases immediately, so
-        callers never hold ring views.
-        """
-        worker = self._worker
-        ring = worker.ring
-        deadline = None
-        while True:
-            record = ring.pop()
-            if record is not None:
-                payload, _ = record
-                codes = (
-                    self._np.frombuffer(payload, dtype="<u2")
-                    .reshape(-1, 8)
-                    .astype(self._np.int64)
-                )
-                ring.release()
-                return codes
-            if ring.eos or not worker.alive():
-                worker.drain_state()
-                self.error = self.error or worker.error
-                return None
-            if deadline is None:
-                deadline = time.monotonic() + self.stall_timeout
-            elif time.monotonic() > deadline:
-                return None
-            time.sleep(_POLL_S)
-
-    def close(self) -> None:
-        worker = self._worker
-        worker.close()
-        self.error = self.error or worker.error
-        if worker.final_state:
-            _restore(_noise_models(self._baseboard), worker.final_state["noise"])

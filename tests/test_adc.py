@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.common.rng import RngStream
 from repro.hardware.adc import Adc, AdcTiming
+from repro.hardware.baseboard import Baseboard
+from repro.hardware.modules import SensorModule
 
 
 def test_default_timing_is_20khz():
@@ -15,23 +18,55 @@ def test_default_timing_is_20khz():
     assert timing.output_rate_hz == pytest.approx(20_000, rel=1e-3)
 
 
+class RecordingRail:
+    """A zero-power rail that records the sample times it is asked for."""
+
+    def __init__(self) -> None:
+        self.times: list[np.ndarray] = []
+
+    def sample_uniform(self, start, dt, n, first=0):
+        self.times.append(start + dt * np.arange(first, first + n))
+        return np.zeros(n), np.zeros(n)
+
+
+START, N_OUTPUT, FIRST = 1.0, 3, 5
+
+
+def read_times():
+    """The (current, voltage) sample times ``read_codes`` asks each rail for."""
+    board = Baseboard(AdcTiming())
+    rails = {}
+    for slot in (0, 2, 3):
+        board.attach(slot, SensorModule.manufacture("pcie_slot_12v", RngStream(slot)))
+        rails[slot] = RecordingRail()
+        board.connect(slot, rails[slot])
+    board.read_codes(START, N_OUTPUT, FIRST)
+    return {slot: rail.times for slot, rail in rails.items()}
+
+
 def test_channel_offsets_monotonic():
-    offsets = AdcTiming().channel_offsets()
-    assert offsets.shape == (8,)
-    assert (np.diff(offsets) > 0).all()
+    # Within a scan the channels convert in order, all before the next scan.
+    times = read_times()
+    per_channel = np.stack([t for slot in sorted(times) for t in times[slot]])
+    assert (np.diff(per_channel, axis=0) > 0).all()
+    assert per_channel[-1, 0] < per_channel[0, 1]
 
 
 def test_subsample_times():
+    # Scan a of output sample j starts at start + ((first + j) * averages + a)
+    # * scan_time; slot s's current channel converts 2s conversions into
+    # the scan and its voltage channel one conversion later.
     timing = AdcTiming()
-    times = timing.subsample_times(channel=2, sample_start=1.0)
-    assert times.shape == (6,)
-    assert times[0] == pytest.approx(1.0 + 2 * timing.conversion_time_s)
-    assert np.diff(times) == pytest.approx(timing.scan_time_s)
-
-
-def test_subsample_times_bad_channel():
-    with pytest.raises(ValueError):
-        AdcTiming().subsample_times(channel=8, sample_start=0.0)
+    scans = (FIRST + np.arange(N_OUTPUT))[:, None] * timing.averages + np.arange(
+        timing.averages
+    )
+    grid = START + scans.ravel() * timing.scan_time_s
+    for slot, (current, voltage) in read_times().items():
+        offset = 2 * slot * timing.conversion_time_s
+        np.testing.assert_allclose(current, grid + offset, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            voltage, current + timing.conversion_time_s, rtol=0, atol=1e-15
+        )
 
 
 def test_quantize_bounds():

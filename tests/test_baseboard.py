@@ -98,6 +98,18 @@ def test_averaged_codes_are_10bit():
     assert codes.min() >= 0
 
 
+def test_slot_read_matches_the_board_read_and_leaves_other_slots_alone():
+    # Slot 2 read alone gives the same codes as a board read of a board
+    # holding only slot 2, and draws none of slot 0's noise.
+    alone, board = make_board((2,)), make_board((0, 2))
+    for b in (alone, board):
+        b.connect(2, ConstantRail(12.0, 3.0))
+    want = alone.averaged_codes(0.5, 300)[:, 4:6]
+    np.testing.assert_array_equal(board.slot_averaged_codes(2, 0.5, 300), want)
+    slot0 = make_board((0,)).averaged_codes(0.0, 100)[:, 0:2]
+    np.testing.assert_array_equal(board.averaged_codes(0.0, 100)[:, 0:2], slot0)
+
+
 def test_display_present_with_precomputed_fonts():
     board = Baseboard()
     assert board.display.stats.glyph_cache_misses > 0  # precompute ran

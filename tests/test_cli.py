@@ -1,5 +1,6 @@
 """CLI tools run end to end against the simulated bench."""
 
+import re
 import sys
 
 import pytest
@@ -52,6 +53,16 @@ def test_psconfig_calibrate(capsys):
     assert psconfig.main(FAST + ["--calibrate", "--samples", "4096"]) == 0
     out = capsys.readouterr().out
     assert "vref=" in out
+
+
+def test_psconfig_calibrate_on_the_protocol_path(capsys):
+    # The device answers config reads only while not streaming; the
+    # refreshed config must carry the calibrated reference.
+    args = ["--modules", "pcie_slot_12v", "--dut", "none", "--calibrate"]
+    assert psconfig.main(args + ["--samples", "4096", "--sensor", "0"]) == 0
+    out = capsys.readouterr().out
+    calibrated = re.search(r"slot 0: vref=(\d\.\d{5}) V", out).group(1)
+    assert f"vref={calibrated}" in out.splitlines()[-1]
 
 
 def test_psconfig_reboot_byte_path(capsys):

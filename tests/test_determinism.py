@@ -7,7 +7,9 @@ the same decoded samples, and psserve relays the same DATA payloads
 whatever its ``pump_batch``.  The bench here has the hard cases: a GPU
 trace at 2e-4 s, whose points fall exactly on slot 0's 8.33 us scan grid
 every 24 scans (a one-ULP shift in a scan time flips the sample-and-hold
-lookup), and a lab load stepping in a square wave.
+lookup), and a lab load stepping in a square wave.  A module's stream
+does not depend on the other slots either: calibration measures one
+module at a time.
 """
 
 from __future__ import annotations
@@ -88,6 +90,34 @@ def unsplit(direct):
 )
 def test_any_split_of_the_stream_gives_identical_output(cuts, direct):
     assert read_stream(cuts, direct) == unsplit(direct)
+
+
+# --------------------------------------------------------------------- #
+# Slot isolation                                                        #
+# --------------------------------------------------------------------- #
+
+
+@lru_cache(maxsize=8)
+def slot0_stream(others, direct):
+    """Slot 0's calibrated stream (a USB-C module on the 20 V square-wave
+    load), with ``others`` installed in slots 1-3."""
+    setup = SimulatedSetup(
+        ["usbc", *others], seed=0, direct=direct, calibration_samples=4096
+    )
+    setup.connect(0, rails()[3])
+    setup.source.start()
+    block = setup.source.read_block(2000)
+    setup.close()
+    return block.times.tobytes(), block.values[:, :2].tobytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    others=st.tuples(*[st.sampled_from([None, *MODULES])] * 3),
+    direct=st.booleans(),
+)
+def test_a_modules_stream_does_not_depend_on_the_other_slots(others, direct):
+    assert slot0_stream(others, direct) == slot0_stream((), direct)
 
 
 # --------------------------------------------------------------------- #

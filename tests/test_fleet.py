@@ -175,9 +175,12 @@ def test_build_bench_rejects_unknown_options():
     for option in ("producer_batch=2048", "ring_bytes=65536"):
         with pytest.raises(ConfigurationError, match="unknown sim:// options"):
             build_bench(f"sim://pcie_slot_12v?calibrate=false&producer=thread&{option}")
-    for path in ("", "&direct=1"):
-        with pytest.raises(ConfigurationError, match="unknown producer mode"):
-            build_bench(f"sim://pcie_slot_12v?calibrate=false&producer=inline{path}")
+    with pytest.raises(ConfigurationError, match="unknown producer mode"):
+        build_bench("sim://pcie_slot_12v?calibrate=false&producer=inline")
+    # The direct path has no producer: any mode is refused at construction.
+    for mode in ("inline", "process"):
+        with pytest.raises(ConfigurationError, match="protocol path"):
+            build_bench(f"sim://pcie_slot_12v?calibrate=false&direct=1&producer={mode}")
     with pytest.raises(ConfigurationError, match="unknown device scheme"):
         build_bench("carrier://pigeon")
 

@@ -5,25 +5,33 @@ import math
 import numpy as np
 import pytest
 
-from repro.common.noise import OrnsteinUhlenbeckNoise, WhiteNoise, _ar1_filter
+from repro.common.noise import OrnsteinUhlenbeckNoise, _ar1_filter
 from repro.common.rng import RngStream
 
 
-def test_white_noise_statistics():
-    noise = WhiteNoise(0.5, RngStream(0))
-    samples = noise.sample(np.zeros(200_000))
-    assert samples.mean() == pytest.approx(0.0, abs=0.01)
-    assert samples.std() == pytest.approx(0.5, rel=0.02)
+def sequential_sample(noise: OrnsteinUhlenbeckNoise, times: np.ndarray) -> np.ndarray:
+    """Reference: the OU recurrence one sample at a time, on any time grid.
 
-
-def test_white_noise_zero_sigma():
-    noise = WhiteNoise(0.0, RngStream(0))
-    assert np.array_equal(noise.sample(np.arange(10.0)), np.zeros(10))
-
-
-def test_white_noise_rejects_negative_sigma():
-    with pytest.raises(ValueError):
-        WhiteNoise(-1.0, RngStream(0))
+    Draws one normal per sample, as ``sample_uniform`` does, and carries
+    the same state (last time and value) into the next call; it leaves
+    no grid behind, so the next call is a transition by time gap.
+    """
+    n = times.size
+    noise._grid = None
+    z = noise._rng.normal(0.0, 1.0, size=n)
+    out = np.empty(n)
+    prev_t = noise._last_time
+    x = noise._last_value
+    for i in range(n):
+        t = float(times[i])
+        # No history: the first value is drawn from the stationary law.
+        rho = 0.0 if prev_t is None else noise._decay(t - prev_t)
+        x = rho * x + z[i] * noise._innovation_sigma(rho)
+        out[i] = x
+        prev_t = t
+    noise._last_time = prev_t
+    noise._last_value = float(x)
+    return out
 
 
 def test_ou_stationary_variance():
@@ -55,19 +63,21 @@ def test_ou_chunked_continuity():
 
 
 def test_ou_sequential_and_uniform_agree_statistically():
-    # Same seed, same grid: the sequential loop and the lfilter pass give
-    # the same values bit for bit.  The grid step is a power of two, so
-    # every np.diff of the grid times is exactly dt.
+    # Same seed, same grid: the sequential reference and the lfilter pass
+    # give the same values bit for bit.  The grid steps are powers of two,
+    # so every difference of the grid times is exactly dt.
     start, dt, n = 0.25, 2.0**-14, 50_000
     seq_noise = OrnsteinUhlenbeckNoise(1.5, 500.0, RngStream(4))
     fast_noise = OrnsteinUhlenbeckNoise(1.5, 500.0, RngStream(4))
-    seq = seq_noise.sample(start + dt * np.arange(n))
+    seq = sequential_sample(seq_noise, start + dt * np.arange(n))
     fast = fast_noise.sample_uniform(start, dt, n)
     np.testing.assert_array_equal(seq, fast)
-    # Both carry the same state into the next call.
-    later = start + dt * (n + 10)
+    # Both carry the same state into a later call on a new grid: a gap of
+    # ten steps, then a coarser step.
+    later, step, m = start + dt * (n + 10), 2.0**-12, 2_000
     np.testing.assert_array_equal(
-        seq_noise.sample(np.array([later])), fast_noise.sample(np.array([later]))
+        sequential_sample(seq_noise, later + step * np.arange(m)),
+        fast_noise.sample_uniform(later, step, m),
     )
 
 
@@ -88,12 +98,6 @@ def test_ou_rejects_bad_parameters():
         OrnsteinUhlenbeckNoise(-1.0, 100.0, RngStream(0))
     with pytest.raises(ValueError):
         OrnsteinUhlenbeckNoise(1.0, 0.0, RngStream(0))
-
-
-def test_ou_rejects_decreasing_times():
-    noise = OrnsteinUhlenbeckNoise(1.0, 100.0, RngStream(0))
-    with pytest.raises(ValueError):
-        noise.sample(np.array([0.0, 1.0, 0.5]))
 
 
 def test_ou_zero_sigma_is_silent():

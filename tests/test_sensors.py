@@ -104,10 +104,3 @@ def test_voltage_noise_is_input_referred():
 def test_voltage_rejects_bad_gain():
     with pytest.raises(ValueError):
         VoltageSensor(-1.0, 0.0, RngStream(0))
-
-
-def test_transduce_matches_transduce_uniform_shape():
-    sensor = make_current()
-    times = np.arange(5) * 1e-4
-    general = sensor.transduce(np.ones(5), times)
-    assert general.shape == (5,)

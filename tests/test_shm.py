@@ -7,10 +7,9 @@ Three layers of pinning for the shared-memory producer path:
 * stream equivalence against the plain path, where device simulation
   runs inline on the read path — on a clean stream ``producer=thread``
   and ``producer=process`` give the plain stream for any sequence of
-  reads, in both protocol and direct mode.  Fault models draw per link
-  read, so across the fault matrix both modes give the plain link read
-  one producer batch at a time, and hence each other, also across a
-  STOP/START cycle;
+  reads.  Fault models draw per link read, so across the fault matrix
+  both modes give the plain link read one producer batch at a time, and
+  hence each other, also across a STOP/START cycle;
 * lifecycle — lazy worker launch, duplicate START, producer crash
   surfacing as the usual stall/recovery path, and close() leaving no
   /dev/shm segment behind.
@@ -159,11 +158,10 @@ FAULT_MATRIX = [
 READS = (700, 1, 4096, 333, 2048)
 
 
-def _source(producer, faults=None, direct=False, seed=9):
+def _source(producer, faults=None, seed=9):
     src = simulated_source(
         "pcie_slot_12v,usbc",
         seed=seed,
-        direct=direct,
         faults=faults,
         fault_seed=21,
         calibrate=False,
@@ -207,26 +205,13 @@ def test_producer_stream_is_byte_identical_to_inline(small_batches, mode, faults
     assert raw == _plain_batches(faults, sum(READS))[: len(raw)]
 
 
-@pytest.mark.parametrize("mode", ["thread", "process"])
-def test_direct_producer_matches_inline(mode):
-    def run(producer):
-        src = _source(producer, direct=True, seed=3)
-        blocks = [src.read_block(n) for n in (500, 77, 9000)]
-        out = [(b.times.tobytes(), b.values.tobytes()) for b in blocks]
-        src.bench.close()
-        return out
-
-    assert run(mode) == run(None)
-
-
 @settings(max_examples=8, deadline=None)
 @given(
     reads=st.lists(st.integers(min_value=1, max_value=1500), min_size=1, max_size=8),
-    direct=st.booleans(),
 )
-def test_clean_producers_match_plain_path_for_any_reads(reads, direct):
+def test_clean_producers_match_plain_path_for_any_reads(reads):
     def run(producer):
-        src = _source(producer, direct=direct, seed=2)
+        src = _source(producer, seed=2)
         blocks = [src.read_block(n) for n in reads]
         out = [(b.times.tobytes(), b.values.tobytes()) for b in blocks]
         src.bench.close()
@@ -238,10 +223,10 @@ def test_clean_producers_match_plain_path_for_any_reads(reads, direct):
             assert run(mode) == want, mode
 
 
-def _restarted_stream(producer, faults, direct):
-    src = _source(producer, faults, direct=direct, seed=5)
+def _restarted_stream(producer, faults):
+    src = _source(producer, faults, seed=5)
     blocks = [src.read_block(700)]
-    ring = src._code_producer.ring if direct else src.bench.link.ring
+    ring = src.bench.link.ring
     deadline = time.monotonic() + 10.0
     while ring.occupancy() < ring.capacity:  # wait until the producer blocks
         assert time.monotonic() < deadline, "the producer never filled the ring"
@@ -259,18 +244,14 @@ def _restarted_stream(producer, faults, direct):
 # unpushed batch in either mode.  The ring holds exactly four records
 # (flips keep record sizes fixed), so "full" is occupancy == capacity.
 @pytest.mark.parametrize(
-    "faults, direct",
-    [(None, False), ("flip:0.01", False), (None, True)],
-    ids=["protocol-clean", "protocol-flip", "direct-clean"],
+    "faults", [None, "flip:0.01"], ids=["protocol-clean", "protocol-flip"]
 )
-def test_producer_modes_match_across_stop_start(monkeypatch, faults, direct):
+def test_producer_modes_match_across_stop_start(monkeypatch, faults):
     batch = 1024
-    row_bytes = 16 if direct else 10  # direct: 8 uint16 codes; wire: 2 pairs + timestamp
+    row_bytes = 10  # wire: 2 pairs + timestamp
     monkeypatch.setattr(shm, "DEFAULT_BATCH", batch)
     monkeypatch.setattr(shm, "DEFAULT_RING_BYTES", 4 * (8 + batch * row_bytes))
-    assert _restarted_stream("process", faults, direct) == _restarted_stream(
-        "thread", faults, direct
-    )
+    assert _restarted_stream("process", faults) == _restarted_stream("thread", faults)
 
 
 def test_read_block_returns_ring_view_zero_copy(monkeypatch):
