@@ -3,8 +3,11 @@
 The real tools take a serial device path; the simulated ones take a bench
 description instead (``--modules``, ``--dut``) and assemble the same
 objects the library API exposes.  Repeatable ``--device SPEC`` flags
-describe devices by URI (``sim://…``, ``remote://…``, ``replay://…``)
-and build a multi-device :class:`~repro.core.fleet.FleetSetup` instead.
+describe devices by URI (``sim://…``, ``remote://…``, ``replay://…``,
+``store://…``) and build a multi-device
+:class:`~repro.core.fleet.FleetSetup` instead.  The single-device flags
+become one such spec, so every bench goes through
+:func:`~repro.core.fleet.build_bench`.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from typing import Callable
+from urllib.parse import urlencode
 
 from repro.common.errors import (
     CalibrationError,
@@ -24,8 +28,8 @@ from repro.common.errors import (
     StreamStalledError,
     TransportError,
 )
-from repro.core.setup import SimulatedSetup, parse_module_keys
-from repro.dut.rails import DUT_SPEC_HELP, build_rail
+from repro.core.fleet import FleetSetup, build_bench
+from repro.dut.rails import DUT_SPEC_HELP
 from repro.observability import MetricsRegistry, Tracer, write_metrics
 from repro.transport.faults import FAULT_SPEC_HELP
 
@@ -103,7 +107,8 @@ def add_device_arguments(
         default=None,
         dest="devices",
         help="device URI spec: 'sim://MODULES?dut=…&seed=…', "
-        "'remote://HOST:PORT?device=NAME', 'replay://DUMP?speed=…'; "
+        "'remote://HOST:PORT?device=NAME', 'replay://DUMP?speed=…', "
+        "'store://DIR?t0=…&t1=…'; "
         "repeat for a multi-device fleet (name members with 'device=…'; "
         "overrides --modules/--dut/--remote)",
     )
@@ -164,47 +169,36 @@ def add_device_arguments(
         )
 
 
+def _device_spec(args: argparse.Namespace) -> str:
+    """The single-device flags as one URI device spec.
+
+    ``--remote TARGET`` maps to ``remote://TARGET?window=…&faults=…``;
+    otherwise the bench flags map to ``sim://MODULES?dut=…&seed=…``.
+    """
+    query = {"faults": args.faults, "fault_seed": args.fault_seed}
+    remote = getattr(args, "remote", None)
+    if remote:
+        if args.direct:
+            raise ConfigurationError(
+                "--remote streams device bytes; it cannot combine with --direct"
+            )
+        spec = f"remote://{remote}"
+        query["window"] = args.remote_window or None
+    else:
+        spec = f"sim://{args.modules}"
+        query.update(dut=args.dut, seed=args.seed, direct=int(args.direct) or None)
+    return f"{spec}?{urlencode({k: v for k, v in query.items() if v is not None})}"
+
+
 def build_setup(
     args: argparse.Namespace,
     registry: MetricsRegistry | None = None,
     tracer: Tracer | None = None,
 ):
+    """The bench (or, for repeated ``--device``, the fleet) the flags describe."""
     if getattr(args, "devices", None):
-        from repro.core.fleet import FleetSetup
-
         return FleetSetup(args.devices, registry=registry, tracer=tracer)
-    if getattr(args, "remote", None):
-        from repro.server.client import RemoteSetup
-
-        if args.direct:
-            raise ConfigurationError(
-                "--remote streams device bytes; it cannot combine with --direct"
-            )
-        window = getattr(args, "remote_window", 0) or 0
-        return RemoteSetup(
-            args.remote,
-            mode="window" if window > 1 else "raw",
-            window=max(window, 1),
-            faults=getattr(args, "faults", None),
-            fault_seed=getattr(args, "fault_seed", None) or 0,
-            registry=registry,
-            tracer=tracer,
-        )
-    setup = SimulatedSetup(
-        parse_module_keys(args.modules),
-        seed=args.seed,
-        direct=args.direct,
-        faults=getattr(args, "faults", None),
-        fault_seed=getattr(args, "fault_seed", None),
-        registry=registry,
-        tracer=tracer,
-    )
-    rail = _build_rail(args.dut, args.seed)
-    if rail is not None:
-        for channel in setup.baseboard.populated_slots():
-            setup.connect(channel.slot, rail)
-            break
-    return setup
+    return build_bench(_device_spec(args), registry=registry, tracer=tracer)
 
 
 def setup_fleet(setup):
@@ -214,11 +208,3 @@ def setup_fleet(setup):
     fleet-aggregating path after :func:`build_setup`.
     """
     return getattr(setup, "fleet", None)
-
-
-def _build_rail(dut: str, seed: int):
-    """CLI shim over :func:`repro.dut.rails.build_rail` (argparse-style exit)."""
-    try:
-        return build_rail(dut, seed)
-    except ConfigurationError as error:
-        raise SystemExit(f"unknown --dut spec {dut!r}") from error

@@ -11,8 +11,12 @@ The public API mirrors the real toolkit's C++/Python interface:
 * :class:`~repro.core.setup.SimulatedSetup` — assemble a complete simulated
   measurement bench (modules, baseboard, firmware, link, host) in one call.
 
-Two sample sources exist: the byte-accurate protocol path and a vectorised
-direct path for experiments needing millions of samples (see DESIGN.md).
+Two simulated sample sources exist: the byte-accurate protocol path and a
+vectorised direct path for experiments needing millions of samples (see
+DESIGN.md).  :func:`~repro.core.fleet.build_bench` is the one dispatcher
+from a URI device spec (``sim://``, ``remote://``, ``replay://``,
+``store://``) to a bench; :func:`~repro.core.sources.create_source`
+returns that bench's source.
 """
 
 from repro.core.dump import DumpReader, DumpWriter
@@ -21,7 +25,6 @@ from repro.core.powersensor import DEFAULT_RECOVERY, PowerSensor, RecoveryPolicy
 from repro.core.setup import SimulatedSetup
 from repro.core.fleet import Fleet, FleetBlock, FleetMember, FleetSetup, FleetState
 from repro.core.sources import (
-    SAMPLE_SOURCES,
     DirectSampleSource,
     ProtocolSampleSource,
     SampleBlock,
@@ -30,7 +33,6 @@ from repro.core.sources import (
     convert_codes,
     create_source,
     parse_source_spec,
-    register_source,
 )
 from repro.core.state import State, joules, seconds, watts
 
@@ -49,10 +51,8 @@ __all__ = [
     "SourceSpec",
     "ProtocolSampleSource",
     "DirectSampleSource",
-    "SAMPLE_SOURCES",
     "create_source",
     "parse_source_spec",
-    "register_source",
     "convert_codes",
     "Fleet",
     "FleetBlock",

@@ -14,10 +14,11 @@ replayed, freely mixed — and drives them through one surface:
 * :meth:`Fleet.read` snapshots every member and aggregates energy/power.
 * Markers, configs and health are addressed per device.
 
-Members are described by the same URI device specs
-:func:`~repro.core.sources.create_source` understands (``sim://…``,
-``remote://…``, ``replay://…``); a spec without a scheme is shorthand
-for a simulated bench with those module keys.  Every member gets a
+Members are described by URI device specs (``sim://…``, ``remote://…``,
+``replay://…``, ``store://…``), which :func:`build_bench` — the one
+dispatcher from a spec to a bench — turns into devices; a spec without a
+scheme is shorthand for a simulated bench with those module keys.
+Every member gets a
 unique name — from the spec's ``device=`` option or generated — and that
 name becomes the ``device=`` label on all of the member's stream,
 decode, retry and span metrics in the shared registry.
@@ -26,6 +27,7 @@ decode, retry and span metrics in the shared registry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.common.errors import ConfigurationError, MeasurementError
 from repro.common.retry import DEFAULT_RECOVERY, RecoveryPolicy
@@ -35,6 +37,29 @@ from repro.core.sources import SampleBlock, SampleSource, parse_source_spec
 from repro.core.state import State
 from repro.observability import MetricsRegistry, Tracer
 
+#: The options each device-spec scheme accepts (``device=`` names the
+#: bench in every scheme).
+_SCHEME_OPTIONS: dict[str, frozenset[str]] = {
+    "sim": frozenset(
+        {
+            "device",
+            "dut",
+            "seed",
+            "direct",
+            "faults",
+            "fault_seed",
+            "calibrate",
+            "calibration_samples",
+            "producer",
+        }
+    ),
+    "remote": frozenset(
+        {"device", "window", "mode", "faults", "fault_seed", "connect_timeout"}
+    ),
+    "replay": frozenset({"device", "speed", "loop"}),
+    "store": frozenset({"device", "speed", "loop", "t0", "t1"}),
+}
+
 
 def build_bench(
     spec: str,
@@ -42,96 +67,102 @@ def build_bench(
     tracer: Tracer | None = None,
     name: str | None = None,
     recovery: RecoveryPolicy | None = DEFAULT_RECOVERY,
+    **overrides,
 ):
     """Build a complete bench (source + PowerSensor) from a device spec.
 
-    ``sim://MODULES?dut=…&seed=…`` assembles a
-    :class:`~repro.core.setup.SimulatedSetup`, ``remote://HOST:PORT`` a
-    :class:`~repro.server.client.RemoteSetup`, ``replay://PATH`` a
-    :class:`~repro.core.replay.ReplaySetup`.  A spec without ``://`` is
-    shorthand for ``sim://<spec>``.  ``name`` overrides the spec's
-    ``device=`` option as the bench's device label.
-    """
-    from repro.core.replay import ReplaySetup
-    from repro.core.setup import SETUP_CALIBRATION_SAMPLES, SimulatedSetup
-    from repro.core.setup import parse_module_keys
-    from repro.dut.rails import build_rail
+    The one place a device spec becomes a device:
 
+    * ``sim://MODULES?dut=…&seed=…`` assembles a
+      :class:`~repro.core.setup.SimulatedSetup` with the DUT rail wired to
+      the first populated slot;
+    * ``remote://HOST:PORT`` a :class:`~repro.server.client.RemoteSetup`;
+    * ``replay://DUMP`` and ``store://DIR`` a
+      :class:`~repro.core.replay.TapeSetup` over the recorded tape.
+
+    A spec without ``://`` is shorthand for ``sim://<spec>``.  Keyword
+    ``overrides`` take precedence over the spec's options; ``name``
+    overrides its ``device=`` option as the bench's device label.  The
+    scheme and every option are checked before anything is opened,
+    connected or calibrated: an unknown scheme or option raises
+    :class:`ConfigurationError` naming them.
+    """
     if "://" not in spec:
         spec = f"sim://{spec}"
     parsed = parse_source_spec(spec)
-    options = dict(parsed.options)
-    device = name if name is not None else parsed.device
-    options.pop("device", None)
+    scheme = parsed.scheme
+    if scheme not in _SCHEME_OPTIONS:
+        raise ConfigurationError(
+            f"unknown device scheme {scheme!r} in {spec!r} "
+            f"(expected {', '.join(s + '://' for s in _SCHEME_OPTIONS)})"
+        )
+    options: dict[str, Any] = {**parsed.options, **overrides}
+    unknown = sorted(set(options) - _SCHEME_OPTIONS[scheme])
+    if unknown:
+        raise ConfigurationError(f"unknown {scheme}:// options {unknown} in {spec!r}")
+    spec_device = options.pop("device", None)
+    device = name if name is not None else (str(spec_device) if spec_device else None)
+    observability: dict[str, Any] = {
+        "device": device,
+        "registry": registry,
+        "tracer": tracer,
+    }
 
-    if parsed.scheme == "sim":
-        dut = str(options.pop("dut", "load:8.0@12.0"))
-        seed = int(options.pop("seed", 0))
+    if scheme == "sim":
+        from repro.core.setup import SETUP_CALIBRATION_SAMPLES, SimulatedSetup
+        from repro.core.setup import parse_module_keys
+        from repro.dut.rails import build_rail
+
+        seed = int(options.get("seed", 0))
+        rail = build_rail(str(options.get("dut", "load:8.0@12.0")), seed)
         setup = SimulatedSetup(
             parse_module_keys(parsed.target or "pcie_slot_12v"),
             seed=seed,
-            direct=bool(options.pop("direct", False)),
-            faults=options.pop("faults", None),
-            fault_seed=options.pop("fault_seed", None),
-            calibrate=bool(options.pop("calibrate", True)),
+            direct=bool(options.get("direct", False)),
+            faults=options.get("faults"),
+            fault_seed=options.get("fault_seed"),
+            calibrate=bool(options.get("calibrate", True)),
             calibration_samples=int(
-                options.pop("calibration_samples", SETUP_CALIBRATION_SAMPLES)
+                options.get("calibration_samples", SETUP_CALIBRATION_SAMPLES)
             ),
             recovery=recovery,
-            registry=registry,
-            tracer=tracer,
-            device=device,
-            producer=options.pop("producer", None),
+            producer=options.get("producer"),
+            **observability,
         )
-        if options:
-            raise ConfigurationError(
-                f"unknown sim:// options {sorted(options)} in {spec!r}"
-            )
-        rail = build_rail(dut, seed)
         if rail is not None:
             for channel in setup.baseboard.populated_slots():
                 setup.connect(channel.slot, rail)
                 break
         return setup
-    if parsed.scheme == "remote":
+    if scheme == "remote":
         from repro.server.client import RemoteSetup
 
-        window = int(options.pop("window", 0))
-        mode = str(options.pop("mode", "window" if window > 1 else "raw"))
-        setup = RemoteSetup(
+        window = int(options.get("window", 0))
+        return RemoteSetup(
             parsed.target,
-            mode=mode,
+            mode=str(options.get("mode", "window" if window > 1 else "raw")),
             window=max(window, 1),
             recovery=recovery,
-            faults=options.pop("faults", None),
-            fault_seed=int(options.pop("fault_seed", 0)),
-            connect_timeout=float(options.pop("connect_timeout", 5.0)),
-            registry=registry,
-            tracer=tracer,
-            device=device,
+            faults=options.get("faults"),
+            fault_seed=int(options.get("fault_seed", 0)),
+            connect_timeout=float(options.get("connect_timeout", 5.0)),
+            **observability,
         )
-        if options:
-            raise ConfigurationError(
-                f"unknown remote:// options {sorted(options)} in {spec!r}"
-            )
-        return setup
-    if parsed.scheme == "replay":
-        setup = ReplaySetup(
-            parsed.target,
-            speed=float(options.pop("speed", 1.0)),
-            loop=bool(options.pop("loop", False)),
-            device=device,
-            registry=registry,
-            tracer=tracer,
+    from repro.core.replay import ReplaySampleSource, TapeSetup
+
+    tape: dict[str, Any] = {
+        "speed": float(options.get("speed", 1.0)),
+        "loop": bool(options.get("loop", False)),
+        **observability,
+    }
+    if scheme == "replay":
+        return TapeSetup(ReplaySampleSource(parsed.target, **tape))
+    from repro.store.source import StoreSampleSource
+
+    return TapeSetup(
+        StoreSampleSource(
+            parsed.target, t0=options.get("t0"), t1=options.get("t1"), **tape
         )
-        if options:
-            raise ConfigurationError(
-                f"unknown replay:// options {sorted(options)} in {spec!r}"
-            )
-        return setup
-    raise ConfigurationError(
-        f"unknown device scheme {parsed.scheme!r} in {spec!r} "
-        "(expected sim://, remote:// or replay://)"
     )
 
 
@@ -140,7 +171,7 @@ class FleetMember:
     """One named device in a fleet."""
 
     name: str
-    bench: object  # SimulatedSetup | RemoteSetup | ReplaySetup (duck-typed)
+    bench: object  # what build_bench built: SimulatedSetup | RemoteSetup | TapeSetup
 
     @property
     def source(self) -> SampleSource:

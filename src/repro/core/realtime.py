@@ -16,6 +16,7 @@ wedged device fails the measurement cleanly rather than freezing the tool.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 
@@ -64,6 +65,13 @@ class RealtimeDriver:
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._lock = threading.Lock()
+        # threading.Lock is not fair: a pump slower than its chunk would
+        # retake the lock at once and starve read()/mark() for seconds.
+        # Callers take a ticket before waiting for the lock, and the pump
+        # thread lets every ticket issued so far be served before it pumps.
+        self._turn = threading.Condition()
+        self._tickets = 0
+        self._served = 0
         self._error: BaseException | None = None
         self._last_progress = time.monotonic()
 
@@ -78,6 +86,9 @@ class RealtimeDriver:
     def _run(self) -> None:
         next_deadline = time.monotonic()
         while not self._stop.is_set():
+            with self._turn:
+                waiting = self._tickets
+                self._turn.wait_for(lambda: self._served >= waiting)
             iter_start = time.monotonic()
             try:
                 with self._lock:
@@ -115,32 +126,38 @@ class RealtimeDriver:
                 f"(stalled device or blocked read)"
             )
 
-    def _acquire(self) -> None:
-        timeout = -1 if self.watchdog_seconds is None else self.watchdog_seconds
-        if not self._lock.acquire(timeout=timeout):
-            self.ps.health.stalls += 1
-            self._watchdog_counter.inc()
-            raise StreamStalledError(
-                f"pump thread held the stream lock for more than "
-                f"{self.watchdog_seconds:.1f} s"
-            )
+    @contextlib.contextmanager
+    def _locked(self):
+        """Hold the stream lock, served ahead of the pump's next turn."""
+        self._check_health()
+        with self._turn:
+            self._tickets += 1
+        try:
+            timeout = -1 if self.watchdog_seconds is None else self.watchdog_seconds
+            if not self._lock.acquire(timeout=timeout):
+                self.ps.health.stalls += 1
+                self._watchdog_counter.inc()
+                raise StreamStalledError(
+                    f"pump thread held the stream lock for more than "
+                    f"{self.watchdog_seconds:.1f} s"
+                )
+            try:
+                yield
+            finally:
+                self._lock.release()
+        finally:
+            with self._turn:
+                self._served += 1
+                self._turn.notify_all()
 
     def read(self):
         """Thread-safe snapshot of the PowerSensor state."""
-        self._check_health()
-        self._acquire()
-        try:
+        with self._locked():
             return self.ps.read()
-        finally:
-            self._lock.release()
 
     def mark(self, char: str = "M") -> None:
-        self._check_health()
-        self._acquire()
-        try:
+        with self._locked():
             self.ps.mark(char)
-        finally:
-            self._lock.release()
 
     def stop(self) -> None:
         self._stop.set()

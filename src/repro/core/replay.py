@@ -20,7 +20,8 @@ advertised interval) and a driver pacing against wall time finishes in
 ``1/speed`` of the recorded duration.  ``loop=True`` wraps around at the
 end of the recording with monotonically continued timestamps; otherwise
 the source simply runs dry, which a recovery-driven consumer reports as
-a stall — replay benches therefore disable retry recovery.
+a stall — tape benches (:class:`TapeSetup`) therefore disable retry
+recovery.
 """
 
 from __future__ import annotations
@@ -30,44 +31,31 @@ from pathlib import Path
 import numpy as np
 
 from repro.common.errors import ConfigurationError, MeasurementError, ServerError
-from repro.core.dump import DumpData, DumpReader
+from repro.core.dump import DumpReader
 from repro.core.health import StreamHealth
-from repro.core.sources import SampleBlock, SampleSource, register_source
+from repro.core.powersensor import PowerSensor
+from repro.core.sources import SampleBlock, SampleSource
 from repro.firmware.version import FIRMWARE_VERSION
 from repro.hardware.eeprom import SENSORS, SensorConfig
 from repro.observability import MetricsRegistry, Tracer
 
 
-def _configs_from_dump(data: DumpData) -> list[SensorConfig]:
-    """Synthesize sensor configs for the recorded pairs.
-
-    The dump stores physical units, so conversion values are identity;
-    the configs exist to carry names and the enabled mask through the
-    normal config surface.
-    """
-    configs = [SensorConfig() for _ in range(SENSORS)]
-    for pair, name in enumerate(data.pair_names[: SENSORS // 2]):
-        configs[2 * pair] = SensorConfig(
-            name=f"{name}.I", pair_name=name, vref=0.0, slope=1.0, enabled=True
-        )
-        configs[2 * pair + 1] = SensorConfig(
-            name=f"{name}.V", pair_name=name, vref=0.0, slope=1.0, enabled=True
-        )
-    return configs
-
-
 class TapeSampleSource(SampleSource):
     """Re-stream a finite recorded tape through the SampleSource contract.
 
-    Subclasses load their recording (a text dump, a telemetry store,
-    ...) and hand the raw arrays to this constructor; everything
-    observable — timeline compression for ``speed``, monotonic loop
+    A tape is a recorded stream in physical units, replayed by
+    ``replay://`` (a text dump) or ``store://`` (a telemetry store).  The
+    subclasses load their recording and hand the raw arrays to this
+    constructor; everything observable — the synthesized configs, rate
+    inference, timeline compression for ``speed``, monotonic loop
     continuation, marker mapping, health accounting — is shared, so two
     recordings of the same capture replay bit-identically regardless of
     the format they travelled through.
 
-    ``label`` names the recording in error messages (e.g. ``"dump
-    'run.txt'"``); ``kind`` names the source kind (``"replay"``).
+    ``enabled`` is the recording's per-sensor mask; every fully-enabled
+    pair takes the next of ``pair_names``.  A ``sample_rate`` of 0 (not
+    recorded) is inferred from the median sample interval.  ``label``
+    names the recording in error messages (e.g. ``"dump 'run.txt'"``).
     """
 
     def __init__(
@@ -76,15 +64,15 @@ class TapeSampleSource(SampleSource):
         times: np.ndarray,
         values: np.ndarray,
         markers: np.ndarray,
-        configs: list[SensorConfig],
-        native_rate: float,
+        enabled: np.ndarray,
+        pair_names: list[str],
+        sample_rate: float,
         speed: float = 1.0,
         loop: bool = False,
         device: str | None = None,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         label: str = "tape",
-        kind: str = "tape",
     ) -> None:
         if speed <= 0:
             raise ConfigurationError(f"replay speed must be positive, got {speed}")
@@ -97,15 +85,22 @@ class TapeSampleSource(SampleSource):
         self.version = f"Replay of {FIRMWARE_VERSION}"
         self.streaming = False
         self._label = label
-        self._kind = kind
 
         n = times.size
         if n == 0:
             raise MeasurementError(f"{label} holds no samples")
-        self._native_rate = float(native_rate)
-        self.configs = configs
+        if sample_rate > 0:
+            self._native_rate = float(sample_rate)
+        elif n >= 2:
+            self._native_rate = 1.0 / float(np.median(np.diff(times)))
+        else:
+            raise MeasurementError(
+                f"{label} records no sample rate and holds too few samples "
+                "to infer one"
+            )
+        self.configs = self._synthesize_configs(enabled, pair_names)
         self._values = values
-        self._enabled = np.array([c.enabled for c in configs])
+        self._enabled = np.array([c.enabled for c in self.configs])
 
         # Timeline compression for accelerated replay: times are re-based
         # at the recording start and divided by speed, so the emitted
@@ -120,6 +115,33 @@ class TapeSampleSource(SampleSource):
         self._cursor = 0
         self._pass = 0  # completed loop passes
         self._marker_pending = 0
+
+    @staticmethod
+    def _synthesize_configs(
+        enabled: np.ndarray, pair_names: list[str]
+    ) -> list[SensorConfig]:
+        """Identity-conversion configs carrying the recorded names and mask.
+
+        A tape stores physical units, so conversion values are identity;
+        the configs exist to carry names and the enabled mask through the
+        normal config surface.
+        """
+        configs = [SensorConfig() for _ in range(SENSORS)]
+        names = iter(pair_names)
+        for pair in range(SENSORS // 2):
+            current, voltage = 2 * pair, 2 * pair + 1
+            if enabled[current] and enabled[voltage]:
+                name = next(names, f"pair{pair}")
+                configs[current] = SensorConfig(
+                    name=f"{name}.I", pair_name=name, vref=0.0, slope=1.0, enabled=True
+                )
+                configs[voltage] = SensorConfig(
+                    name=f"{name}.V", pair_name=name, vref=0.0, slope=1.0, enabled=True
+                )
+            else:
+                configs[current] = SensorConfig(enabled=bool(enabled[current]))
+                configs[voltage] = SensorConfig(enabled=bool(enabled[voltage]))
+        return configs
 
     @property
     def sample_rate(self) -> float:
@@ -144,8 +166,7 @@ class TapeSampleSource(SampleSource):
 
     def write_configs(self, configs: list[SensorConfig]) -> None:
         raise ServerError(
-            f"{self._kind} source {self._label} is read-only: configs are part of "
-            "the recording"
+            f"{self._label} is read-only: configs are part of the recording"
         )
 
     def _empty_block(self) -> SampleBlock:
@@ -219,72 +240,42 @@ class ReplaySampleSource(TapeSampleSource):
     ) -> None:
         self.path = str(path)
         self.data = DumpReader.read(path)
-        n = self.data.times.size
-        if n == 0:
-            raise MeasurementError(f"dump {self.path!r} holds no samples")
-        n_pairs = len(self.data.pair_names)
-        if self.data.sample_rate_hz > 0:
-            native_rate = float(self.data.sample_rate_hz)
-        elif n >= 2:
-            native_rate = 1.0 / float(np.median(np.diff(self.data.times)))
-        else:
-            raise MeasurementError(
-                f"dump {self.path!r} has no sample_rate_hz header and too few "
-                "samples to infer a rate"
-            )
-
         # The recorded pairs map to sensors 0..2*n_pairs-1 (even: current,
         # odd: voltage) — the same layout PowerSensor dumped them from.
-        values = np.zeros((n, SENSORS))
+        n_pairs = len(self.data.pair_names)
+        values = np.zeros((self.data.times.size, SENSORS))
         values[:, 0 : 2 * n_pairs : 2] = self.data.amps
         values[:, 1 : 2 * n_pairs : 2] = self.data.volts
-
         super().__init__(
             times=self.data.times,
             values=values,
             markers=map_markers(self.data.times, self.data.markers),
-            configs=_configs_from_dump(self.data),
-            native_rate=native_rate,
+            enabled=np.arange(SENSORS) < 2 * n_pairs,
+            pair_names=self.data.pair_names,
+            sample_rate=self.data.sample_rate_hz,
             speed=speed,
             loop=loop,
             device=device,
             registry=registry,
             tracer=tracer,
-            label=f"{self.path!r}",
-            kind="replay",
+            label=f"dump {self.path!r}",
         )
 
 
-class ReplaySetup:
-    """A replay bench with the attribute surface the CLI tools use.
+class TapeSetup:
+    """A tape bench (``replay://`` or ``store://``): the source and its PowerSensor.
 
-    Retry recovery is disabled: a finite tape running dry is the normal
-    end of a replay run, not a device stall.
+    Built by :func:`repro.core.fleet.build_bench`, with the attribute
+    surface the CLI tools use.  Retry recovery is disabled: a finite tape
+    running dry is the normal end of a replay run, not a device stall.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        speed: float = 1.0,
-        loop: bool = False,
-        device: str | None = None,
-        registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-    ) -> None:
-        from repro.core.powersensor import PowerSensor
-
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer(self.registry)
-        self.device = device
-        self.source = ReplaySampleSource(
-            path,
-            speed=speed,
-            loop=loop,
-            device=device,
-            registry=self.registry,
-            tracer=self.tracer,
-        )
-        self.ps = PowerSensor(self.source, recovery=None)
+    def __init__(self, source: TapeSampleSource) -> None:
+        self.source = source
+        self.registry = source.registry
+        self.tracer = source.tracer
+        self.device = source.device
+        self.ps = PowerSensor(source, recovery=None)
 
     @property
     def sample_rate(self) -> float:
@@ -293,11 +284,8 @@ class ReplaySetup:
     def close(self) -> None:
         self.ps.close()
 
-    def __enter__(self) -> "ReplaySetup":
+    def __enter__(self) -> "TapeSetup":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-register_source("replay", ReplaySampleSource)

@@ -12,12 +12,7 @@ from repro.calibration.procedure import calibrate_all, CalibrationResult
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RngStream
 from repro.core.powersensor import PowerSensor, RecoveryPolicy, DEFAULT_RECOVERY
-from repro.core.sources import (
-    DirectSampleSource,
-    ProtocolSampleSource,
-    register_source,
-)
-from repro.dut.rails import build_rail
+from repro.core.sources import DirectSampleSource, ProtocolSampleSource
 from repro.firmware.device import Firmware, default_eeprom
 from repro.hardware.baseboard import Baseboard, PowerRail
 from repro.hardware.modules import SensorModule
@@ -171,51 +166,3 @@ def parse_module_keys(modules: str) -> list[str | None]:
         None if key.strip().lower() in ("none", "") else key.strip()
         for key in modules.split(",")
     ]
-
-
-def simulated_source(
-    modules: str = "pcie_slot_12v",
-    *,
-    dut: str = "load:8.0@12.0",
-    seed: int = 0,
-    direct: bool = False,
-    faults: str | None = None,
-    fault_seed: int | None = None,
-    calibrate: bool = True,
-    calibration_samples: int = SETUP_CALIBRATION_SAMPLES,
-    device: str | None = None,
-    producer: str | None = None,
-    registry: MetricsRegistry | None = None,
-    tracer: Tracer | None = None,
-):
-    """Factory behind ``create_source("sim://MODULES?...")``.
-
-    Assembles a full simulated bench (modules, calibration, DUT rail on
-    the first populated slot) and returns its sample source.  The bench
-    stays reachable through ``source.bench`` so the baseboard and DUT
-    outlive the factory call.
-    """
-    setup = SimulatedSetup(
-        parse_module_keys(modules),
-        seed=seed,
-        direct=direct,
-        faults=faults,
-        fault_seed=fault_seed,
-        calibrate=calibrate,
-        calibration_samples=calibration_samples,
-        registry=registry,
-        tracer=tracer,
-        device=device,
-        producer=producer,
-    )
-    rail = build_rail(dut, seed)
-    if rail is not None:
-        for channel in setup.baseboard.populated_slots():
-            setup.connect(channel.slot, rail)
-            break
-    source = setup.source
-    source.bench = setup
-    return source
-
-
-register_source("sim", simulated_source)

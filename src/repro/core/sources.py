@@ -32,15 +32,13 @@ under every fault model.
 from __future__ import annotations
 
 import abc
-import importlib
 from dataclasses import dataclass, field
-from typing import Callable
 from urllib.parse import parse_qsl
 
 import numpy as np
 
 from repro.common.clock import VirtualClock
-from repro.common.errors import DeviceError, ProtocolError
+from repro.common.errors import ConfigurationError, DeviceError, ProtocolError
 from repro.firmware.commands import Command
 from repro.firmware.protocol import BlockDecoder, TIMESTAMP_SENSOR, TimestampUnwrapper
 from repro.firmware.version import FIRMWARE_VERSION
@@ -662,23 +660,8 @@ class DirectSampleSource(SampleSource):
 
 
 # --------------------------------------------------------------------- #
-# Source registry and URI device specs                                  #
+# URI device specs                                                      #
 # --------------------------------------------------------------------- #
-
-#: Named sample-source factories.  ``protocol`` and ``direct`` register
-#: here; other packages add their kinds on import (see
-#: :data:`_LAZY_SOURCES` — :func:`create_source` imports them lazily, so
-#: ``create_source("remote", "host:port")`` works without the caller
-#: touching the server package).
-SAMPLE_SOURCES: dict[str, Callable[..., object]] = {}
-
-#: Source kinds registered by importing a module on first use.
-_LAZY_SOURCES: dict[str, str] = {
-    "remote": "repro.server.client",
-    "replay": "repro.core.replay",
-    "sim": "repro.core.setup",
-    "store": "repro.store.source",
-}
 
 #: Typed coercion for URI query options (everything else stays a string).
 _SPEC_INT_KEYS = frozenset({"seed", "fault_seed", "window", "calibration_samples"})
@@ -704,17 +687,20 @@ class SourceSpec:
 
 
 def _coerce_option(key: str, value: str) -> object:
-    if key in _SPEC_INT_KEYS:
-        return int(value)
-    if key in _SPEC_FLOAT_KEYS:
-        return float(value)
+    try:
+        if key in _SPEC_INT_KEYS:
+            return int(value)
+        if key in _SPEC_FLOAT_KEYS:
+            return float(value)
+    except ValueError:
+        raise ConfigurationError(f"option {key}={value!r} is not a number") from None
     if key in _SPEC_BOOL_KEYS:
         lowered = value.strip().lower()
         if lowered in _SPEC_TRUE:
             return True
         if lowered in _SPEC_FALSE:
             return False
-        raise ValueError(f"option {key}={value!r} is not a boolean")
+        raise ConfigurationError(f"option {key}={value!r} is not a boolean")
     return value
 
 
@@ -723,16 +709,18 @@ def parse_source_spec(spec: str) -> SourceSpec:
 
     ``sim://pcie_slot_12v?seed=3&dut=load:8@12`` addresses a simulated
     bench, ``remote://host:port?device=gpu`` a psserve subscription,
-    ``replay://run.dump?speed=4`` a recorded dump.  The target may itself
-    contain colons (``remote://unix:/tmp/ps.sock``); everything after the
-    first ``?`` is a query string with typed coercion for well-known keys
-    (seeds and windows to int, speed to float, flags to bool).
+    ``replay://run.dump?speed=4`` a recorded dump, ``store://DIR`` a
+    telemetry store.  The target may itself contain colons
+    (``remote://unix:/tmp/ps.sock``); everything after the first ``?`` is
+    a query string with typed coercion for well-known keys (seeds and
+    windows to int, speed to float, flags to bool).  A malformed spec
+    raises :class:`~repro.common.errors.ConfigurationError`.
     """
     scheme, sep, rest = spec.partition("://")
     if not sep:
-        raise ValueError(f"not a URI device spec (no '://'): {spec!r}")
+        raise ConfigurationError(f"not a URI device spec (no '://'): {spec!r}")
     if not scheme:
-        raise ValueError(f"device spec {spec!r} has an empty scheme")
+        raise ConfigurationError(f"device spec {spec!r} has an empty scheme")
     target, _, query = rest.partition("?")
     options: dict[str, object] = {}
     for key, value in parse_qsl(query, keep_blank_values=True):
@@ -740,47 +728,16 @@ def parse_source_spec(spec: str) -> SourceSpec:
     return SourceSpec(scheme=scheme, target=target, options=options)
 
 
-def register_source(name: str, factory: Callable[..., object]) -> None:
-    """Register a named sample-source factory (idempotent per factory)."""
-    existing = SAMPLE_SOURCES.get(name)
-    if existing is not None and existing is not factory:
-        raise ValueError(f"sample source {name!r} is already registered")
-    SAMPLE_SOURCES[name] = factory
+def create_source(spec: str, **overrides) -> SampleSource:
+    """The sample source of the bench a device spec describes.
 
-
-def _resolve_factory(name: str) -> Callable[..., object]:
-    if name not in SAMPLE_SOURCES and name in _LAZY_SOURCES:
-        importlib.import_module(_LAZY_SOURCES[name])  # registers on import
-    try:
-        return SAMPLE_SOURCES[name]
-    except KeyError:
-        known = ", ".join(sorted(set(SAMPLE_SOURCES) | set(_LAZY_SOURCES)))
-        raise ValueError(f"unknown sample source {name!r}; known: {known}") from None
-
-
-def create_source(name: str, *args, **kwargs):
-    """Instantiate a sample source by registered name or URI spec.
-
-    Two calling conventions:
-
-    * ``create_source("remote", "host:port", window=8)`` — bare registered
-      name plus explicit arguments (the original surface, unchanged).
-    * ``create_source("remote://host:port?window=8")`` — a URI device
-      spec; the scheme picks the factory, the target becomes the first
-      positional argument and the query options become keyword arguments.
-      Explicit ``**kwargs`` override spec options, so programmatic callers
-      can fix e.g. ``registry=`` while users vary the spec string.
+    ``create_source("remote://host:port?window=8")`` is
+    ``build_bench(spec, **overrides).source`` (see
+    :func:`repro.core.fleet.build_bench`): keyword arguments override the
+    spec's options, and ``registry=``/``tracer=`` pass through, so
+    programmatic callers can fix e.g. the registry while users vary the
+    spec string.  The source is already streaming.
     """
-    if "://" in name:
-        spec = parse_source_spec(name)
-        factory = _resolve_factory(spec.scheme)
-        merged = dict(spec.options)
-        merged.update(kwargs)
-        if spec.target:
-            return factory(spec.target, *args, **merged)
-        return factory(*args, **merged)
-    return _resolve_factory(name)(*args, **kwargs)
+    from repro.core.fleet import build_bench
 
-
-register_source("protocol", ProtocolSampleSource)
-register_source("direct", DirectSampleSource)
+    return build_bench(spec, **overrides).source

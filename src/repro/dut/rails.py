@@ -21,8 +21,18 @@ DUT_SPEC_HELP = (
 
 
 def build_rail(dut: str, seed: int = 0):
-    """Resolve a DUT spec string to a power rail (``None`` for 'none')."""
+    """Resolve a DUT spec string to a power rail (``None`` for 'none').
+
+    A malformed spec raises :class:`ConfigurationError`.
+    """
     dut = dut.strip().lower()
+    try:
+        return _build_rail(dut)
+    except ValueError as error:
+        raise ConfigurationError(f"bad DUT spec {dut!r}: {error}") from None
+
+
+def _build_rail(dut: str):
     if dut in ("none", ""):
         return None
     if dut.startswith("load:"):

@@ -36,7 +36,7 @@ import numpy as np
 from repro.common.errors import ProtocolError, ServerError, TransportError
 from repro.common.retry import DEFAULT_RECOVERY, RecoveryPolicy
 from repro.core.powersensor import PowerSensor
-from repro.core.sources import ProtocolSampleSource, SampleBlock, register_source
+from repro.core.sources import ProtocolSampleSource, SampleBlock
 from repro.firmware.commands import Command
 from repro.observability import MetricsRegistry, Tracer
 from repro.server.wire import (
@@ -671,5 +671,3 @@ class RemoteSetup:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-register_source("remote", RemoteSampleSource)

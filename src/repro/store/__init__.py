@@ -10,8 +10,8 @@ The package splits along the write/read/feed axes:
   crash recovery with quarantine.
 * :mod:`repro.store.ingest` — dump import and SampleSource tailing.
 * :mod:`repro.store.source` — the ``store://`` replay device
-  (imported lazily by ``create_source``; importing it registers the
-  scheme).
+  (imported by :func:`repro.core.fleet.build_bench` for ``store://``
+  specs only).
 """
 
 from repro.store.format import DEFAULT_TIER_FACTORS, SealedSegment

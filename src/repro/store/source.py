@@ -15,40 +15,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
-from repro.common.errors import MeasurementError
 from repro.core.replay import TapeSampleSource
-from repro.core.sources import register_source
-from repro.hardware.eeprom import SENSORS, SensorConfig
 from repro.observability import MetricsRegistry, Tracer
 from repro.store.store import TelemetryStore
-
-
-def _configs_from_store(
-    enabled: np.ndarray, pair_names: list[str]
-) -> list[SensorConfig]:
-    """Synthesize identity-conversion configs for the stored sensors.
-
-    Mirrors the dump-replay synthesis: fully-enabled pairs take the
-    recorded pair names in order; the store keeps physical units, so
-    conversion values are identity.
-    """
-    configs = [SensorConfig() for _ in range(SENSORS)]
-    names = iter(pair_names)
-    for pair in range(SENSORS // 2):
-        if enabled[2 * pair] and enabled[2 * pair + 1]:
-            name = next(names, f"pair{pair}")
-            configs[2 * pair] = SensorConfig(
-                name=f"{name}.I", pair_name=name, vref=0.0, slope=1.0, enabled=True
-            )
-            configs[2 * pair + 1] = SensorConfig(
-                name=f"{name}.V", pair_name=name, vref=0.0, slope=1.0, enabled=True
-            )
-        else:
-            configs[2 * pair] = SensorConfig(enabled=bool(enabled[2 * pair]))
-            configs[2 * pair + 1] = SensorConfig(enabled=bool(enabled[2 * pair + 1]))
-    return configs
 
 
 class StoreSampleSource(TapeSampleSource):
@@ -84,82 +53,18 @@ class StoreSampleSource(TapeSampleSource):
                     pair_names = list(seg.pair_names)
         finally:
             store.close()
-        n = result.times.size
         window = "" if t0 is None and t1 is None else f" in [{t0}, {t1}]"
-        if n == 0:
-            raise MeasurementError(f"store {self.path!r} holds no samples{window}")
-        if sample_rate > 0:
-            native_rate = float(sample_rate)
-        elif n >= 2:
-            native_rate = 1.0 / float(np.median(np.diff(result.times)))
-        else:
-            raise MeasurementError(
-                f"store {self.path!r} records no sample rate and holds too few "
-                "samples to infer one"
-            )
         super().__init__(
             times=result.times,
             values=result.values,
             markers=result.markers,
-            configs=_configs_from_store(result.enabled, pair_names),
-            native_rate=native_rate,
+            enabled=result.enabled,
+            pair_names=pair_names,
+            sample_rate=sample_rate,
             speed=speed,
             loop=loop,
             device=device,
             registry=registry,
             tracer=tracer,
-            label=f"{self.path!r}",
-            kind="store",
+            label=f"store {self.path!r}{window}",
         )
-
-
-class StoreSetup:
-    """A store-replay bench with the attribute surface the CLI tools use.
-
-    Like :class:`~repro.core.replay.ReplaySetup`, retry recovery is
-    disabled: a finite tape running dry is the normal end of the run.
-    """
-
-    def __init__(
-        self,
-        path: str | Path,
-        speed: float = 1.0,
-        loop: bool = False,
-        device: str | None = None,
-        t0: float | None = None,
-        t1: float | None = None,
-        registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-    ) -> None:
-        from repro.core.powersensor import PowerSensor
-
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer(self.registry)
-        self.device = device
-        self.source = StoreSampleSource(
-            path,
-            speed=speed,
-            loop=loop,
-            device=device,
-            t0=t0,
-            t1=t1,
-            registry=self.registry,
-            tracer=self.tracer,
-        )
-        self.ps = PowerSensor(self.source, recovery=None)
-
-    @property
-    def sample_rate(self) -> float:
-        return self.source.sample_rate
-
-    def close(self) -> None:
-        self.ps.close()
-
-    def __enter__(self) -> "StoreSetup":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-register_source("store", StoreSampleSource)

@@ -21,11 +21,9 @@ from __future__ import annotations
 
 import socket
 
-import numpy as np
-
 from repro.common.errors import TransportError
 from repro.observability import MetricsRegistry
-from repro.transport.faults import FaultModel
+from repro.transport.faults import FaultChain, FaultModel
 
 
 class ByteStream:
@@ -84,14 +82,15 @@ class SocketByteStream(ByteStream):
         self.sock.close()
 
 
-class FaultyByteStream(ByteStream):
+class FaultyByteStream(ByteStream, FaultChain):
     """Interpose fault models on a byte stream's receive path.
 
-    Reuses the :class:`FaultModel` family unchanged — the same seeded
-    (seed, spec, traffic) determinism applies.  When every installed
-    model conspires to turn a non-empty chunk into ``b""`` (a stall, or a
-    drop of the whole chunk), the stream re-reads instead of reporting
-    EOF: on a socket, silence is loss, not closure.
+    Reuses the :class:`FaultModel` family and the :class:`FaultChain`
+    unchanged — the same seeded (seed, spec, traffic) determinism
+    applies.  When every installed model conspires to turn a non-empty
+    chunk into ``b""`` (a stall, or a drop of the whole chunk), the
+    stream re-reads instead of reporting EOF: on a socket, silence is
+    loss, not closure.
     """
 
     def __init__(
@@ -101,34 +100,8 @@ class FaultyByteStream(ByteStream):
         seed: int = 0,
         registry: MetricsRegistry | None = None,
     ) -> None:
+        FaultChain.__init__(self, models, seed=seed, registry=registry)
         self.stream = stream
-        self.models = list(models or [])
-        self.rng = np.random.default_rng(seed)
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._mirrored = [0] * len(self.models)
-        self._fault_counters = [
-            self.registry.counter(
-                "faults_injected_total",
-                help="corruptions injected by the fault layer, per model",
-                model=model.name,
-            )
-            for model in self.models
-        ]
-
-    def _apply(self, data: bytes) -> bytes:
-        try:
-            for model in self.models:
-                data = model.transform(data, self.rng)
-        finally:
-            self._mirror_injected()
-        return data
-
-    def _mirror_injected(self) -> None:
-        for i, model in enumerate(self.models):
-            delta = model.injected - self._mirrored[i]
-            if delta:
-                self._fault_counters[i].inc(delta)
-                self._mirrored[i] = model.injected
 
     def read(self, n: int) -> bytes:
         # Deliver bytes a model deferred (PartialReads) before blocking
@@ -152,10 +125,3 @@ class FaultyByteStream(ByteStream):
 
     def close(self) -> None:
         self.stream.close()
-
-    def injected(self) -> dict[str, int]:
-        """Per-model count of corruptions injected so far."""
-        counts: dict[str, int] = {}
-        for model in self.models:
-            counts[model.name] = counts.get(model.name, 0) + model.injected
-        return counts

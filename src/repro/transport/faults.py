@@ -247,31 +247,27 @@ def parse_fault_spec(spec: str) -> list[FaultModel]:
     return models
 
 
-class FaultySerialLink:
-    """A :class:`VirtualSerialLink` with fault models on the read path.
+class FaultChain:
+    """Fault models applied in order to every received chunk.
 
-    Drop-in replacement for the bare link (same read/pump/write surface);
-    every device->host byte passes through the installed fault models in
-    order, driven by one seeded generator.  Control-plane traffic (while
-    the device is not streaming) is spared unless
-    ``spare_control_plane=False``.
+    The one copy of the fault layer's state, shared by the serial link
+    (:class:`FaultySerialLink`) and the socket stream
+    (:class:`~repro.transport.bytestream.FaultyByteStream`): the models,
+    the seeded generator they all draw from, and the
+    ``faults_injected_total`` counters mirroring each model's
+    :attr:`~FaultModel.injected` count.
     """
 
     def __init__(
         self,
-        link: VirtualSerialLink,
         models: list[FaultModel] | None = None,
         seed: int = 0,
-        spare_control_plane: bool = True,
         registry: MetricsRegistry | None = None,
         device: str | None = None,
     ) -> None:
-        self.link = link
         self.models = list(models or [])
         self.rng = np.random.default_rng(seed)
-        self.spare_control_plane = spare_control_plane
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.device = device
         labels = {"device": device} if device else {}
         self._mirrored = [0] * len(self.models)
         self._fault_counters = [
@@ -283,6 +279,52 @@ class FaultySerialLink:
             )
             for model in self.models
         ]
+
+    def _apply(self, data: bytes) -> bytes:
+        try:
+            for model in self.models:
+                data = model.transform(data, self.rng)
+        finally:
+            # Mirror injected counts into the registry even when a model
+            # raises (PartialReads overflow), so injected == observed holds.
+            self._mirror_injected()
+        return data
+
+    def _mirror_injected(self) -> None:
+        for i, model in enumerate(self.models):
+            delta = model.injected - self._mirrored[i]
+            if delta:
+                self._fault_counters[i].inc(delta)
+                self._mirrored[i] = model.injected
+
+    def injected(self) -> dict[str, int]:
+        """Per-model count of corruptions injected so far."""
+        counts: dict[str, int] = {}
+        for model in self.models:
+            counts[model.name] = counts.get(model.name, 0) + model.injected
+        return counts
+
+
+class FaultySerialLink(FaultChain):
+    """A :class:`VirtualSerialLink` with fault models on the read path.
+
+    Drop-in replacement for the bare link (same read/pump/write surface);
+    every device->host byte passes through the installed fault models in
+    order, driven by one seeded generator.  Control-plane traffic (while
+    the device is not streaming) is spared.
+    """
+
+    def __init__(
+        self,
+        link: VirtualSerialLink,
+        models: list[FaultModel] | None = None,
+        seed: int = 0,
+        registry: MetricsRegistry | None = None,
+        device: str | None = None,
+    ) -> None:
+        super().__init__(models, seed=seed, registry=registry, device=device)
+        self.link = link
+        self.device = device
 
     # -- pass-through surface ------------------------------------------ #
 
@@ -310,23 +352,9 @@ class FaultySerialLink:
     # -- faulted read path --------------------------------------------- #
 
     def _apply(self, data: bytes) -> bytes:
-        if self.spare_control_plane and not self.link.firmware.streaming:
+        if not self.link.firmware.streaming:
             return data
-        try:
-            for model in self.models:
-                data = model.transform(data, self.rng)
-        finally:
-            # Mirror injected counts into the registry even when a model
-            # raises (PartialReads overflow), so injected == observed holds.
-            self._mirror_injected()
-        return data
-
-    def _mirror_injected(self) -> None:
-        for i, model in enumerate(self.models):
-            delta = model.injected - self._mirrored[i]
-            if delta:
-                self._fault_counters[i].inc(delta)
-                self._mirrored[i] = model.injected
+        return super()._apply(data)
 
     def read(self, n: int | None = None) -> bytes:
         return self._apply(self.link.read(n))
@@ -336,10 +364,3 @@ class FaultySerialLink:
 
     def pump_seconds(self, seconds: float) -> bytes:
         return self._apply(self.link.pump_seconds(seconds))
-
-    def injected(self) -> dict[str, int]:
-        """Per-model count of corruptions injected so far."""
-        counts: dict[str, int] = {}
-        for model in self.models:
-            counts[model.name] = counts.get(model.name, 0) + model.injected
-        return counts

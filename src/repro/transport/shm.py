@@ -543,8 +543,8 @@ class ProducerLink:
         """Create and start the worker (deferred to the first read).
 
         Launching lazily matters for the forked producer: the bench may
-        keep wiring itself up after START (``simulated_source`` connects
-        the DUT rail after the PowerSensor starts streaming), and a child
+        keep wiring itself up after START (``build_bench`` connects the
+        DUT rail after the PowerSensor starts streaming), and a child
         forked at START would snapshot that half-assembled state.  At the
         first read the device is in its final shape by definition.
         """

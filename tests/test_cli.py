@@ -96,9 +96,36 @@ def test_gpu_dut_spec(capsys):
     assert "total power" in capsys.readouterr().out
 
 
-def test_bad_dut_spec():
-    with pytest.raises(SystemExit):
-        psinfo.main(["--dut", "quantum:1"])
+def test_bad_dut_spec(capsys):
+    assert psinfo.main(["--dut", "quantum:1"]) == 74
+    assert "unknown DUT spec 'quantum:1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--device", "sim://pcie_slot_12v?seed=abc"],
+        ["--device", "sim://pcie_slot_12v?calibrate=maybe"],
+        ["--device", "sim://pcie_slot_12v?dut=quantum:1"],
+        ["--device", "pcie_slot_12v?frobnicate=1"],
+        ["--dut", "load:abc@12"],
+    ],
+)
+def test_malformed_spec_exits_74_without_traceback(argv, capsys):
+    assert psinfo.main(argv) == 74
+    err = capsys.readouterr().err
+    assert err.startswith("psinfo: ConfigurationError: ")
+    assert "Traceback" not in err
+
+
+def test_psinfo_replays_a_recorded_store(tmp_path, capsys):
+    rec = tmp_path / "rec"
+    record = ["--time-scale", "50", "--record-store", str(rec)]
+    code = psrun.main(FAST + record + ["--", sys.executable, "-c", "pass"])
+    assert code == 0
+    capsys.readouterr()
+    assert psinfo.main(["--device", f"store://{rec}"]) == 0
+    assert "total power" in capsys.readouterr().out
 
 
 def test_psplot_renders_chart(tmp_path, capsys):

@@ -26,11 +26,12 @@ from repro.core import (
 )
 from repro.core.dump import DumpWriter
 from repro.core.fleet import Fleet, FleetSetup, build_bench
-from repro.core.replay import ReplaySampleSource, ReplaySetup
+from repro.core.replay import ReplaySampleSource, TapeSetup
 from repro.core.sources import parse_source_spec
 from repro.hardware.eeprom import SENSORS
 from repro.observability import MetricsRegistry
 from repro.server import PowerSensorServer, RemoteSampleSource
+from repro.store import import_dump
 from tests.conftest import make_loaded_setup
 from tests.test_server import concat, read_exactly, served
 
@@ -134,12 +135,14 @@ def test_parse_source_spec_target_keeps_colons():
 
 
 def test_parse_source_spec_rejects_malformed():
-    with pytest.raises(ValueError, match="no '://'"):
+    with pytest.raises(ConfigurationError, match="no '://'"):
         parse_source_spec("pcie_slot_12v")
-    with pytest.raises(ValueError, match="empty scheme"):
+    with pytest.raises(ConfigurationError, match="empty scheme"):
         parse_source_spec("://target")
-    with pytest.raises(ValueError, match="not a boolean"):
+    with pytest.raises(ConfigurationError, match="not a boolean"):
         parse_source_spec("sim://m?direct=maybe")
+    with pytest.raises(ConfigurationError, match="not a number"):
+        parse_source_spec("sim://m?seed=abc")
 
 
 def test_create_source_from_uri_spec():
@@ -163,8 +166,10 @@ def test_create_source_kwargs_override_spec_options():
 
 
 def test_create_source_unknown_scheme_lists_known():
-    with pytest.raises(ValueError, match="unknown sample source"):
+    with pytest.raises(ConfigurationError, match="unknown device scheme") as info:
         create_source("bogus://nowhere")
+    for scheme in ("sim://", "remote://", "replay://", "store://"):
+        assert scheme in str(info.value)
 
 
 def test_build_bench_rejects_unknown_options():
@@ -183,6 +188,20 @@ def test_build_bench_rejects_unknown_options():
             build_bench(f"sim://pcie_slot_12v?calibrate=false&direct=1&producer={mode}")
     with pytest.raises(ConfigurationError, match="unknown device scheme"):
         build_bench("carrier://pigeon")
+    # Every scheme checks its options before anything is opened, connected
+    # or calibrated: the missing tape, store and endpoint are never reached.
+    for spec, option in (
+        ("remote://unix:/nonexistent/ps.sock?speed=2", "speed"),
+        ("replay://missing.dump?window=2", "window"),
+        ("store://missing-store?window=2", "window"),
+    ):
+        scheme = spec.partition("://")[0]
+        with pytest.raises(
+            ConfigurationError, match=rf"unknown {scheme}:// options \['{option}'\]"
+        ):
+            build_bench(spec)
+    with pytest.raises(ConfigurationError, match=r"unknown sim:// options \['speed'\]"):
+        create_source("sim://pcie_slot_12v", speed=2.0)  # overrides are checked too
 
 
 # --------------------------------------------------------------------------- #
@@ -264,10 +283,36 @@ def test_replay_markers_round_trip(tmp_path):
 def test_replay_setup_disables_recovery(tmp_path):
     tape = tmp_path / "run.dump"
     record_tape(tape, n=400)
-    with ReplaySetup(tape) as setup:
-        assert setup.ps.recovery is None
-        block = setup.ps.pump_seconds(400 / 20_000.0)
-        assert len(block) == 400
+    import_dump(tape, tmp_path / "store").close()
+    for spec in (f"replay://{tape}", f"store://{tmp_path / 'store'}"):
+        with build_bench(spec) as bench:
+            assert isinstance(bench, TapeSetup)
+            assert bench.ps.recovery is None
+            block = bench.ps.pump_seconds(400 / 20_000.0)
+            assert len(block) == 400
+
+
+def test_fleet_tape_members_stream_what_create_source_gives(tmp_path):
+    # One capture as a dump and as a telemetry store: both fleet members
+    # stream exactly what create_source gives for their spec, and the two
+    # tapes agree with each other.
+    tape = tmp_path / "run.dump"
+    record_tape(tape, n=1600, seed=3)
+    import_dump(tape, tmp_path / "store").close()
+    specs = {"dump": f"replay://{tape}", "store": f"store://{tmp_path / 'store'}"}
+    with Fleet.from_specs(
+        [f"{spec}?device={name}" for name, spec in specs.items()]
+    ) as fleet:
+        blocks = fleet.read_all(1600 / 20_000.0)
+    for name, spec in specs.items():
+        source = create_source(spec)
+        want = source.read_block(1600)
+        source.close()
+        assert len(blocks[name]) == 1600
+        np.testing.assert_array_equal(blocks[name].times, want.times)
+        np.testing.assert_array_equal(blocks[name].values, want.values)
+        np.testing.assert_array_equal(blocks[name].markers, want.markers)
+    np.testing.assert_array_equal(blocks["dump"].values, blocks["store"].values)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,5 +1,6 @@
 """Realtime driver: background pumping at wall-clock pace."""
 
+import sys
 import time
 
 import pytest
@@ -137,3 +138,64 @@ def test_invalid_watchdog_rejected():
     with pytest.raises(ValueError):
         RealtimeDriver(setup.ps, watchdog_seconds=0.0)
     setup.close()
+
+
+def test_pump_slower_than_its_chunk_does_not_starve_readers():
+    # A CPU-bound pump that takes longer than its chunk resyncs and
+    # pumps again at once; every read() must still be served within two
+    # pump durations (one in flight, plus scheduling slack).
+    busy = 0.03
+    pumps = []
+
+    def pump(_seconds):
+        end = time.perf_counter() + busy
+        while time.perf_counter() < end:
+            pass
+        pumps.append(None)
+
+    worst = 0.0
+    with RealtimeDriver(_FakePowerSensor(pump), chunk_seconds=0.02) as driver:
+        for _ in range(40):
+            start = time.perf_counter()
+            driver.read()
+            worst = max(worst, time.perf_counter() - start)
+    assert worst <= 2 * busy, f"a read waited {worst:.3f} s for the stream lock"
+    assert len(pumps) > 1  # readers did not starve the pump either
+
+
+def test_concurrent_callers_and_pump_account_every_ticket():
+    # More caller threads than cores, with frequent interpreter switches:
+    # every read()/mark() is served exactly once, the pump keeps running,
+    # and no ticket is lost between callers and the pump thread.
+    marks = []
+    pumps = []
+
+    class _Recording(_FakePowerSensor):
+        def mark(self, char="M"):
+            marks.append(char)
+
+    def pump(_seconds):
+        time.sleep(0.001)
+        pumps.append(None)
+
+    def caller():
+        for _ in range(50):
+            driver.read()
+            driver.mark("x")
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        driver = RealtimeDriver(_Recording(pump), chunk_seconds=0.001).start()
+        threads = [threading.Thread(target=caller) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        driver.stop()
+    finally:
+        sys.setswitchinterval(previous)
+    assert len(marks) == 200
+    assert driver._tickets == driver._served == 400
+    assert pumps

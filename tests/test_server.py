@@ -367,13 +367,13 @@ def test_server_full_rejects_with_server_error(tmp_path):
 
 def test_create_source_registry_builds_remote(tmp_path):
     with served(tmp_path, duration=0.1) as server:
-        src = create_source("remote", server.address)
+        src = create_source(f"remote://{server.address}")
         assert isinstance(src, RemoteSampleSource)
-        src.start()
+        assert src.streaming  # the bench's PowerSensor started it
         assert len(src.read_block(400)) == 400
         src.close()
-    with pytest.raises(ValueError, match="unknown sample source"):
-        create_source("telepathy")
+    with pytest.raises(ConfigurationError, match="unknown device scheme"):
+        create_source("telepathy://mind")
 
 
 def test_sequence_gaps_counted_as_missed_frames(tmp_path):
@@ -497,24 +497,32 @@ def test_corrupted_frames_cost_whole_chunks_never_wrong_samples(tmp_path):
 def test_remote_setup_fault_plumbing_survives_fragmented_reads(tmp_path):
     """``--faults partial:...`` fragments the receive path losslessly."""
     n = 10_000
-    # Serve more than the client reads: PartialReads defers byte tails,
-    # so the client must stop while the stream is still flowing.
-    with served(tmp_path, duration=1.0, seed=11) as server:
-        setup = RemoteSetup(server.address, faults="partial:0.5", fault_seed=3)
-        src = setup.source
-        src.start()
-        _, rv, _ = concat(read_exactly(src, n))
-        snapshot = setup.registry.snapshot()
-        setup.close()
-
-    assert rv.shape[0] == n  # fragmentation reordered nothing, lost nothing
-    assert metric_value(snapshot, "faults_injected_total") >= 1
-
     local = make_loaded_setup(amps=8.0, direct=False, seed=11, calibration_samples=1024)
     local.source.start()
     _, lv, _ = concat([local.source.read_block(400) for _ in range(n // 400)])
-    np.testing.assert_array_equal(rv, lv)
     local.close()
+
+    def remote_setup(address):
+        return RemoteSetup(address, faults="partial:0.5", fault_seed=3)
+
+    def spec_source(address):
+        return create_source(f"remote://{address}?faults=partial:0.5&fault_seed=3")
+
+    for i, connect in enumerate((remote_setup, spec_source)):
+        # Serve more than the client reads: PartialReads defers byte
+        # tails, so the client must stop while the stream is still flowing.
+        (tmp_path / str(i)).mkdir()
+        with served(tmp_path / str(i), duration=1.0, seed=11) as server:
+            client = connect(server.address)
+            src = getattr(client, "source", client)
+            src.start()
+            _, rv, _ = concat(read_exactly(src, n))
+            snapshot = src.registry.snapshot()
+            client.close()
+
+        assert rv.shape[0] == n  # fragmentation reordered nothing, lost nothing
+        assert metric_value(snapshot, "faults_injected_total") >= 1
+        np.testing.assert_array_equal(rv, lv)
 
 
 # --------------------------------------------------------------------- #

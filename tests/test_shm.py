@@ -29,8 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError, StreamStalledError
-from repro.core.fleet import Fleet
-from repro.core.setup import simulated_source
+from repro.core.fleet import Fleet, build_bench
 from repro.server.daemon import PowerSensorServer
 from repro.transport import shm
 from repro.transport.shm import (
@@ -158,35 +157,34 @@ FAULT_MATRIX = [
 READS = (700, 1, 4096, 333, 2048)
 
 
-def _source(producer, faults=None, seed=9):
-    src = simulated_source(
-        "pcie_slot_12v,usbc",
+def _bench(producer, faults=None, seed=9):
+    """An uncalibrated two-module bench, already streaming."""
+    return build_bench(
+        "sim://pcie_slot_12v,usbc",
         seed=seed,
         faults=faults,
         fault_seed=21,
         calibrate=False,
         producer=producer,
     )
-    src.start()
-    return src
 
 
 def _stream_bytes(producer, faults, reads=READS):
-    src = _source(producer, faults)
+    bench = _bench(producer, faults)
     out = []
     for n in reads:
-        block, raw = src.read_block_raw(n)
+        block, raw = bench.source.read_block_raw(n)
         out.append((raw, block.times.tobytes(), block.values.tobytes()))
-    src.bench.close()
+    bench.close()
     return out
 
 
 def _plain_batches(faults, n_samples):
     """The plain link read one producer batch at a time, concatenated."""
-    src = _source(None, faults)
+    bench = _bench(None, faults)
     batches = -(-n_samples // shm.DEFAULT_BATCH)
-    raw = b"".join(src.bench.link.pump_samples(shm.DEFAULT_BATCH) for _ in range(batches))
-    src.bench.close()
+    raw = b"".join(bench.link.pump_samples(shm.DEFAULT_BATCH) for _ in range(batches))
+    bench.close()
     return raw
 
 
@@ -211,10 +209,10 @@ def test_producer_stream_is_byte_identical_to_inline(small_batches, mode, faults
 )
 def test_clean_producers_match_plain_path_for_any_reads(reads):
     def run(producer):
-        src = _source(producer, seed=2)
-        blocks = [src.read_block(n) for n in reads]
+        bench = _bench(producer, seed=2)
+        blocks = [bench.source.read_block(n) for n in reads]
         out = [(b.times.tobytes(), b.values.tobytes()) for b in blocks]
-        src.bench.close()
+        bench.close()
         return out
 
     with mock.patch.object(shm, "DEFAULT_BATCH", 512):
@@ -224,9 +222,10 @@ def test_clean_producers_match_plain_path_for_any_reads(reads):
 
 
 def _restarted_stream(producer, faults):
-    src = _source(producer, faults, seed=5)
+    bench = _bench(producer, faults, seed=5)
+    src = bench.source
     blocks = [src.read_block(700)]
-    ring = src.bench.link.ring
+    ring = bench.link.ring
     deadline = time.monotonic() + 10.0
     while ring.occupancy() < ring.capacity:  # wait until the producer blocks
         assert time.monotonic() < deadline, "the producer never filled the ring"
@@ -234,7 +233,7 @@ def _restarted_stream(producer, faults):
     src.stop()
     src.start()
     blocks += [src.read_block(n) for n in (3000, 1500)]
-    src.bench.close()
+    bench.close()
     return [(b.times.tobytes(), b.values.tobytes()) for b in blocks]
 
 
@@ -257,11 +256,10 @@ def test_producer_modes_match_across_stop_start(monkeypatch, faults):
 def test_read_block_returns_ring_view_zero_copy(monkeypatch):
     # A whole-record read comes straight out of the ring (no join copy).
     monkeypatch.setattr(shm, "DEFAULT_BATCH", 512)
-    src = simulated_source("pcie_slot_12v", seed=1, calibrate=False, producer="thread")
-    src.start()
-    _, raw = src.read_block_raw(512)
+    bench = build_bench("sim://pcie_slot_12v?seed=1&calibrate=false&producer=thread")
+    _, raw = bench.source.read_block_raw(512)
     assert isinstance(raw, bytes) and len(raw) == 512 * 6
-    src.bench.close()
+    bench.close()
 
 
 # --------------------------------------------------------------------- #
@@ -343,14 +341,13 @@ def test_auto_mode_resolves_for_this_box():
 def test_ring_too_small_for_batch_surfaces_as_producer_error(monkeypatch):
     monkeypatch.setattr(shm, "DEFAULT_BATCH", 4096)
     monkeypatch.setattr(shm, "DEFAULT_RING_BYTES", 8192)  # a 24 KiB record never fits
-    src = simulated_source("pcie_slot_12v", seed=0, calibrate=False, producer="thread")
-    src.start()
+    bench = build_bench("sim://pcie_slot_12v?calibrate=false&producer=thread")
     # The worker dies on its first push; the consumer sees an empty read
     # (recovery's signal) and the error is kept for diagnostics.
-    block = src.read_block(4096)
+    block = bench.source.read_block(4096)
     assert len(block) == 0
-    assert "does not fit" in (src.bench.link.producer_error or "")
-    src.bench.close()
+    assert "does not fit" in (bench.link.producer_error or "")
+    bench.close()
 
 
 def test_fleet_spec_accepts_producer_options():
