@@ -3,4 +3,3 @@
 from driver import bench_test
 
 test_bench_fig12 = bench_test("fig12")
-test_bench_fig12_ftl_comparison = bench_test("fig12_ftl")

@@ -173,32 +173,6 @@ def _check_fig12(result: ExperimentResult, benchmark) -> None:
     benchmark.extra_info["steady_power_cv"] = cv["PS3 power [W]"]
 
 
-def _check_fig12_ftl(result: ExperimentResult, benchmark) -> None:
-    rows = {row["ftl"]: row for row in result.rows}
-    assert set(rows) == {"page", "group", "compressed", "hybrid"}
-
-    for name, row in rows.items():
-        # Power stays pinned near the saturated TLC level for every
-        # policy — the paper's stable-power observation is mapping-
-        # scheme independent.
-        assert row["PS3 power [W]"] == pytest.approx(5.0, abs=0.3), name
-        assert row["J/IO [uJ]"] > 0
-        assert row["WA"] >= 1.0
-
-    # Energy per host IO tracks write amplification: the merge-heavy
-    # group/hybrid schemes pay more joules per IO under random 4k...
-    assert rows["group"]["J/IO [uJ]"] > rows["page"]["J/IO [uJ]"]
-    assert rows["hybrid"]["J/IO [uJ]"] > rows["page"]["J/IO [uJ]"]
-    # ...but hold far smaller mapping tables than the page map.
-    assert rows["group"]["map [KiB]"] < rows["page"]["map [KiB]"] / 4
-    assert rows["hybrid"]["map [KiB]"] < rows["page"]["map [KiB]"]
-
-    for name, row in rows.items():
-        benchmark.extra_info[f"{name}_joules_per_io_uj"] = row["J/IO [uJ]"]
-        benchmark.extra_info[f"{name}_bw_cv"] = row["bandwidth CV"]
-        benchmark.extra_info[f"{name}_map_kib"] = row["map [KiB]"]
-
-
 def _check_stability(result: ExperimentResult, benchmark) -> None:
     row = result.rows[0]
     assert row["windows"] == 200
@@ -274,7 +248,6 @@ CHECKS: dict[str, Callable[[ExperimentResult, object], None]] = {
     "fig8": _check_fig8,
     "fig10": _check_fig10,
     "fig12": _check_fig12,
-    "fig12_ftl": _check_fig12_ftl,
     "stability": _check_stability,
     "ablation_noise": _check_ablation_noise,
     "ablation_averaging": _check_ablation_averaging,

@@ -232,13 +232,15 @@ class FtlPolicy:
 
     def _program_into_active(self, lpns: np.ndarray) -> None:
         spec = self.spec
-        # Invalidate prior versions.  Deduplicate first: with repeated LPNs
-        # in one chunk the old physical page must be invalidated exactly
-        # once, then the last writer wins on the new positions.
-        old = self.l2p[np.unique(lpns)]
+        # Invalidate prior versions.  A repeated LPN in one chunk repeats
+        # its old physical page, which must be invalidated exactly once;
+        # distinct LPNs map to distinct pages, so deduplicating the live
+        # old positions suffices.  GC relocations have none: their old
+        # copies are already unmapped.
+        old = self.l2p[lpns]
         live = old != INVALID
         if np.any(live):
-            old_pos = old[live]
+            old_pos = np.unique(old[live])
             self.p2l[old_pos] = INVALID
             np.subtract.at(self.valid_count, old_pos // spec.pages_per_block, 1)
         start = self._active_block * spec.pages_per_block + self._write_ptr

@@ -43,24 +43,22 @@ class GroupMapFtl(FtlPolicy):
         return -(-self.spec.logical_pages // self.group_pages)
 
     def _host_write(self, lpns: np.ndarray) -> None:
+        # Rewrite every touched group's surviving contents contiguously, in
+        # group order: the host's new pages plus the untouched live pages
+        # each group must drag along (the merge).  One pass programs them
+        # all, exactly as a group-by-group walk would: the groups are
+        # disjoint, and GC moves live pages but never unmaps one, so the
+        # live mask taken up front is the one each group would see.
         g = self.group_pages
-        spec = self.spec
-        host_set = np.unique(lpns)
-        for grp in np.unique(host_set // g):
-            base = int(grp) * g
-            members = np.arange(
-                base, min(base + g, spec.logical_pages), dtype=np.int64
-            )
-            host_mask = np.isin(members, host_set)
-            live_mask = self.l2p[members] != INVALID
-            merge_mask = live_mask & ~host_mask
-            # Rewrite the whole group's surviving contents contiguously:
-            # the host's new pages plus the untouched live pages it must
-            # drag along (the merge).
-            self._program(members[host_mask | merge_mask])
-            self.counters.merge_pages_relocated += int(
-                np.count_nonzero(merge_mask)
-            )
+        host = np.unique(lpns)
+        groups = np.unique(host // g)
+        members = (groups[:, None] * g + np.arange(g, dtype=np.int64)).ravel()
+        members = members[members < self.spec.logical_pages]
+        host_mask = np.zeros(members.size, dtype=bool)
+        host_mask[np.searchsorted(members, host)] = True
+        merge_mask = (self.l2p[members] != INVALID) & ~host_mask
+        self._program(members[host_mask | merge_mask])
+        self.counters.merge_pages_relocated += int(np.count_nonzero(merge_mask))
 
     def _gc_live_order(self, live_lpns: np.ndarray) -> np.ndarray:
         # Relocate in LPN order so a victim's groups land contiguously

@@ -1,4 +1,4 @@
-"""FTL strategy tests: the page-map pin and per-policy behaviour."""
+"""FTL strategy tests: the page- and group-map pins and per-policy behaviour."""
 
 import hashlib
 import json
@@ -23,13 +23,74 @@ from repro.observability import MetricsRegistry
 from repro.storage.engine import IoEngine, precondition
 from repro.storage.fio import FioJob
 
-PIN = json.loads(
-    (Path(__file__).parent / "data" / "ftl_page_pin.json").read_text()
-)
+DATA = Path(__file__).parent / "data"
+PIN = json.loads((DATA / "ftl_page_pin.json").read_text())
+GROUP_PIN = json.loads((DATA / "ftl_group_pin.json").read_text())
 
 
 def _sha(array) -> str:
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def churn_workload(ftl: str) -> Ssd:
+    """Fill a 64 MiB drive, then random overwrites, a trim and more writes."""
+    ssd = Ssd(SsdSpec(logical_bytes=64 * MIB), seed=0, ftl=ftl)
+    rng = np.random.default_rng(42)
+    ssd.write_pages(np.arange(ssd.spec.logical_pages))
+    for _ in range(25):
+        ssd.write_pages(rng.integers(0, ssd.spec.logical_pages, 2048))
+    ssd.trim(np.arange(0, ssd.spec.logical_pages, 7))
+    for _ in range(10):
+        ssd.write_pages(rng.integers(0, ssd.spec.logical_pages, 1024))
+    return ssd
+
+
+def engine_workload(ftl: str):
+    """Precondition a 96 MiB drive, then fio write, read and mixed jobs.
+
+    Yields ``(name, ssd, outcome)`` after each job.
+    """
+    ssd = Ssd(SsdSpec(logical_bytes=96 * MIB), seed=9, ftl=ftl)
+    engine = IoEngine(ssd, seed=9)
+    precondition(ssd, engine, bs="128k")
+    ssd.idle_flush()
+    jobs = (
+        ("engine_write", FioJob(rw="randwrite", bs="4k", iodepth=4, runtime_s=6.0)),
+        ("engine_read", FioJob(rw="randread", bs="64k", iodepth=4, runtime_s=1.0)),
+        ("engine_mixed", FioJob(rw="randrw", bs="16k", rwmixread=70, runtime_s=1.0)),
+    )
+    for name, job in jobs:
+        yield name, ssd, engine.run(job)
+
+
+def ftl_state(ssd: Ssd) -> dict:
+    """Hashes of the mapping arrays plus the counters and free pool."""
+    c = ssd.counters
+    return {
+        "l2p_sha": _sha(ssd.l2p),
+        "p2l_sha": _sha(ssd.p2l),
+        "valid_count_sha": _sha(ssd.valid_count),
+        "host_pages_written": c.host_pages_written,
+        "gc_pages_relocated": c.gc_pages_relocated,
+        "merge_pages_relocated": c.merge_pages_relocated,
+        "blocks_erased": c.blocks_erased,
+        "gc_runs": c.gc_runs,
+        "lookup_ops": c.lookup_ops,
+        "free_blocks": ssd.free_block_count,
+        "mapped_pages": ssd.mapped_pages,
+    }
+
+
+def engine_states(ftl: str) -> dict:
+    """Per engine job: the FTL state and the job's traces, hashed."""
+    return {
+        name: {
+            **ftl_state(ssd),
+            "bandwidth_sha": _sha(out.bandwidth),
+            "power_sha": _sha(out.power),
+        }
+        for name, ssd, out in engine_workload(ftl)
+    }
 
 
 def small_spec(mib=16) -> SsdSpec:
@@ -50,15 +111,7 @@ class TestPageMapPin:
     """
 
     def test_churn_workload_state_is_bit_identical(self):
-        ssd = Ssd(SsdSpec(logical_bytes=64 * MIB), seed=0)
-        rng = np.random.default_rng(42)
-        ssd.write_pages(np.arange(ssd.spec.logical_pages))
-        for _ in range(25):
-            ssd.write_pages(rng.integers(0, ssd.spec.logical_pages, 2048))
-        ssd.trim(np.arange(0, ssd.spec.logical_pages, 7))
-        for _ in range(10):
-            ssd.write_pages(rng.integers(0, ssd.spec.logical_pages, 1024))
-
+        ssd = churn_workload("page")
         want = PIN["ftl"]
         assert _sha(ssd.l2p) == want["l2p_sha"]
         assert _sha(ssd.p2l) == want["p2l_sha"]
@@ -71,28 +124,31 @@ class TestPageMapPin:
         assert ssd.mapped_pages == want["mapped_pages"]
 
     def test_engine_traces_are_bit_identical(self):
-        ssd = Ssd(SsdSpec(logical_bytes=96 * MIB), seed=9)
-        engine = IoEngine(ssd, seed=9)
-        precondition(ssd, engine, bs="128k")
-        ssd.idle_flush()
+        for name, ssd, out in engine_workload("page"):
+            want = PIN[name]
+            assert _sha(out.bandwidth) == want["bandwidth_sha"], name
+            assert _sha(out.power) == want["power_sha"], name
+            if "latencies_sha" in want:
+                assert _sha(out.latencies_s) == want["latencies_sha"], name
+            if "wa" in want:
+                assert out.mean_bandwidth == pytest.approx(want["mean_bandwidth"])
+                assert ssd.counters.write_amplification == pytest.approx(want["wa"])
 
-        out = engine.run(FioJob(rw="randwrite", bs="4k", iodepth=4, runtime_s=6.0))
-        want = PIN["engine_write"]
-        assert _sha(out.bandwidth) == want["bandwidth_sha"]
-        assert _sha(out.power) == want["power_sha"]
-        assert out.mean_bandwidth == pytest.approx(want["mean_bandwidth"])
-        assert ssd.counters.write_amplification == pytest.approx(want["wa"])
 
-        out = engine.run(FioJob(rw="randread", bs="64k", iodepth=4, runtime_s=1.0))
-        want = PIN["engine_read"]
-        assert _sha(out.bandwidth) == want["bandwidth_sha"]
-        assert _sha(out.power) == want["power_sha"]
-        assert _sha(out.latencies_s) == want["latencies_sha"]
+class TestGroupMapPin:
+    """The group policy's state after the page pin's two workloads.
 
-        out = engine.run(FioJob(rw="randrw", bs="16k", rwmixread=70, runtime_s=1.0))
-        want = PIN["engine_mixed"]
-        assert _sha(out.bandwidth) == want["bandwidth_sha"]
-        assert _sha(out.power) == want["power_sha"]
+    ``data/ftl_group_pin.json`` was generated from the tree before the
+    group policy's write path was vectorised; a mismatch means the
+    vectorised path programs pages differently from the per-group loop.
+    """
+
+    def test_churn_workload_state_is_bit_identical(self):
+        assert ftl_state(churn_workload("group")) == GROUP_PIN["churn"]
+
+    def test_engine_traces_are_bit_identical(self):
+        for name, state in engine_states("group").items():
+            assert state == GROUP_PIN[name], name
 
 
 # ---------------------------------------------------------------------- #
