@@ -1,19 +1,21 @@
-"""Shared CLI plumbing: build a bench (or a fleet of them) from flags.
+"""Shared CLI plumbing: build the fleet of benches the flags describe.
 
 The real tools take a serial device path; the simulated ones take a bench
 description instead (``--modules``, ``--dut``) and assemble the same
-objects the library API exposes.  Repeatable ``--device SPEC`` flags
-describe devices by URI (``sim://…``, ``remote://…``, ``replay://…``,
-``store://…``) and build a multi-device
-:class:`~repro.core.fleet.FleetSetup` instead.  The single-device flags
-become one such spec, so every bench goes through
-:func:`~repro.core.fleet.build_bench`.
+objects the library API exposes.  Every run is a
+:class:`~repro.core.fleet.Fleet`: repeatable ``--device SPEC`` flags
+describe its members by URI (``sim://…``, ``remote://…``, ``replay://…``,
+``store://…``), and the single-device flags become one such spec, a
+fleet of one whose member is named ``device0``.  A tool prints a fleet of
+one exactly as the real single-device tool does; member names and fleet
+totals appear only with two or more members.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Callable
 from urllib.parse import urlencode
 
@@ -28,7 +30,7 @@ from repro.common.errors import (
     StreamStalledError,
     TransportError,
 )
-from repro.core.fleet import FleetSetup, build_bench
+from repro.core.fleet import Fleet
 from repro.dut.rails import DUT_SPEC_HELP
 from repro.observability import MetricsRegistry, Tracer, write_metrics
 from repro.transport.faults import FAULT_SPEC_HELP
@@ -190,21 +192,38 @@ def _device_spec(args: argparse.Namespace) -> str:
     return f"{spec}?{urlencode({k: v for k, v in query.items() if v is not None})}"
 
 
-def build_setup(
+def build_fleet(
     args: argparse.Namespace,
     registry: MetricsRegistry | None = None,
     tracer: Tracer | None = None,
-):
-    """The bench (or, for repeated ``--device``, the fleet) the flags describe."""
-    if getattr(args, "devices", None):
-        return FleetSetup(args.devices, registry=registry, tracer=tracer)
-    return build_bench(_device_spec(args), registry=registry, tracer=tracer)
+) -> Fleet:
+    """The fleet the flags describe: one member per ``--device`` spec, or
+    one member for the single-device flags."""
+    specs = getattr(args, "devices", None) or [_device_spec(args)]
+    return Fleet.from_specs(specs, registry=registry, tracer=tracer)
 
 
-def setup_fleet(setup):
-    """The setup's :class:`~repro.core.fleet.Fleet`, or ``None``.
+def member_prefix(fleet: Fleet, name: str) -> str:
+    """What starts a member's output lines: ``"NAME: "`` in a fleet of
+    several devices, nothing in a fleet of one."""
+    return f"{name}: " if len(fleet) > 1 else ""
 
-    CLI bodies use this to branch between the single-bench path and the
-    fleet-aggregating path after :func:`build_setup`.
-    """
-    return getattr(setup, "fleet", None)
+
+def report_health(fleet: Fleet) -> None:
+    """One ``stream health: …`` stderr line per member that needed recovery."""
+    for name, health in fleet.health().items():
+        if health.degraded:
+            prefix = member_prefix(fleet, name)
+            print(f"{prefix}stream health: {health.summary()}", file=sys.stderr)
+
+
+def member_paths(fleet: Fleet, path: str, subdir: bool = False) -> dict[str, str]:
+    """Each member's output file: ``path`` itself in a fleet of one, else
+    ``DIR/NAME`` (``subdir``) or ``out.txt`` -> ``out.NAME.txt``."""
+    if len(fleet) == 1:
+        return dict.fromkeys(fleet.names, path)
+    base = Path(path)
+    return {
+        name: str(base / name if subdir else base.with_suffix(f".{name}{base.suffix}"))
+        for name in fleet.names
+    }

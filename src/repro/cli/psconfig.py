@@ -13,11 +13,12 @@ import argparse
 from repro.calibration.procedure import calibrate_all
 from repro.cli.common import (
     add_device_arguments,
-    build_setup,
+    build_fleet,
+    member_prefix,
     run_with_diagnostics,
-    setup_fleet,
 )
 from repro.common.errors import ConfigurationError
+from repro.core.replay import TapeSetup
 from repro.firmware.commands import Command
 from repro.observability import MetricsRegistry, Tracer
 
@@ -70,33 +71,10 @@ def main(argv: list[str] | None = None) -> int:
 def _configure(
     args: argparse.Namespace, registry: MetricsRegistry, tracer: Tracer
 ) -> int:
-    setup = build_setup(args, registry, tracer)
-    try:
-        fleet = setup_fleet(setup)
-        if fleet is not None:
-            return _apply_fleet(args, fleet)
-        return _apply(args, setup)
-    finally:
-        setup.close()
-
-
-def _apply_fleet(args: argparse.Namespace, fleet) -> int:
-    """Read or write sensor configuration on every fleet device."""
-    if args.calibrate or args.verify or args.reboot or args.dfu:
-        raise ConfigurationError(
-            "--calibrate/--verify/--reboot operate on one local bench; "
-            "run psconfig against a single device instead of --device specs"
-        )
-    if args.sensor is None:
-        raise ConfigurationError("--device needs --sensor to read or write")
-    changes = _collect_changes(args)
-    for name, member in fleet.members.items():
-        if not changes:
-            print(f"{name}: {member.ps.get_config(args.sensor)}")
-        else:
-            cfg = member.ps.set_config(args.sensor, **changes)
-            print(f"{name}: sensor {args.sensor} updated: {cfg}")
-    return 0
+    with build_fleet(args, registry, tracer) as fleet:
+        for name, member in fleet.members.items():
+            _apply(args, member.bench, member_prefix(fleet, name))
+        return 0
 
 
 def _collect_changes(args: argparse.Namespace) -> dict:
@@ -114,15 +92,22 @@ def _collect_changes(args: argparse.Namespace) -> dict:
     return changes
 
 
-def _apply(args: argparse.Namespace, setup) -> int:
+def _apply(args: argparse.Namespace, setup, prefix: str) -> None:
+    """Run the requested actions on one bench; ``prefix`` starts each line."""
     ps = setup.ps
+    if isinstance(setup, TapeSetup) and (
+        args.calibrate or args.verify or args.reboot or args.dfu
+    ):
+        raise ConfigurationError(
+            "a recorded tape has no device to calibrate, verify or reboot"
+        )
 
     if args.calibrate:
-        print(f"calibrating with {args.samples} samples per point...")
+        print(f"{prefix}calibrating with {args.samples} samples per point...")
         results = calibrate_all(setup.baseboard, setup.eeprom, n_samples=args.samples)
         for result in results:
             print(
-                f"  slot {result.slot}: vref={result.vref_volts:.5f} V "
+                f"{prefix}  slot {result.slot}: vref={result.vref_volts:.5f} V "
                 f"(offset {result.offset_correction_volts * 1e3:+.2f} mV), "
                 f"voltage gain={result.voltage_gain:.5f}"
             )
@@ -134,11 +119,11 @@ def _apply(args: argparse.Namespace, setup) -> int:
     if args.verify:
         from repro.calibration.verification import verify_all
 
-        print("verifying calibration against the worst-case error budget...")
+        print(f"{prefix}verifying calibration against the worst-case error budget...")
         for report in verify_all(setup.baseboard, setup.eeprom):
             verdict = "PASS" if report.passed else "FAIL"
             print(
-                f"  slot {report.slot}: worst mean error "
+                f"{prefix}  slot {report.slot}: worst mean error "
                 f"{report.worst_mean_error:.3f} W, worst sample error "
                 f"{report.worst_sample_error:.3f} W "
                 f"(budget ±{report.bound_watts:.2f} W) -> {verdict}"
@@ -147,21 +132,19 @@ def _apply(args: argparse.Namespace, setup) -> int:
     if args.sensor is not None:
         changes = _collect_changes(args)
         if not changes:
-            cfg = ps.get_config(args.sensor)
-            print(cfg)
+            print(f"{prefix}{ps.get_config(args.sensor)}")
         else:
             cfg = ps.set_config(args.sensor, **changes)
-            print(f"sensor {args.sensor} updated: {cfg}")
+            print(f"{prefix}sensor {args.sensor} updated: {cfg}")
 
     if args.reboot or args.dfu:
         if setup.link is not None:
             command = Command.REBOOT_DFU if args.dfu else Command.REBOOT
             setup.link.write(command.value)
             mode = "DFU mode" if args.dfu else "normal mode"
-            print(f"device rebooted to {mode}")
+            print(f"{prefix}device rebooted to {mode}")
         else:
-            print("direct-path bench has no device to reboot")
-    return 0
+            print(f"{prefix}direct-path bench has no device to reboot")
 
 
 if __name__ == "__main__":

@@ -7,12 +7,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.cli.common import (
-    add_device_arguments,
-    build_setup,
-    run_with_diagnostics,
-    setup_fleet,
-)
+from repro.cli.common import add_device_arguments, build_fleet, run_with_diagnostics
 from repro.observability import MetricsRegistry, Tracer, summarize_registry
 
 
@@ -44,32 +39,25 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _show(args: argparse.Namespace, registry: MetricsRegistry, tracer: Tracer) -> int:
-    setup = build_setup(args, registry, tracer)
-    try:
-        status = _report(setup)
+    with build_fleet(args, registry, tracer) as fleet:
+        fleet.read_all(0.05)  # a short burst of fresh samples, every device
+        states = fleet.read()
+        several = len(fleet) > 1
+        for name, member in fleet.members.items():
+            if several:
+                print(f"=== device {name} ===")
+            _report_device(member.ps, states[name])
+            if several:
+                print()
+        if several:
+            print(
+                f"fleet total power: {states.total_power:.3f} W "
+                f"across {len(fleet)} device(s)"
+            )
         if args.metrics is not None:
             print()
             print(summarize_registry(registry))
-        return status
-    finally:
-        setup.close()
-
-
-def _report(setup) -> int:
-    fleet = setup_fleet(setup)
-    if fleet is not None:
-        fleet.read_all(0.05)  # a short burst of fresh samples, every device
-        states = fleet.read()
-        for name, member in fleet.members.items():
-            print(f"=== device {name} ===")
-            _report_device(member.ps, states[name])
-            print()
-        print(f"fleet total power: {states.total_power:.3f} W across {len(fleet)} device(s)")
         return 0
-    ps = setup.ps
-    ps.pump_seconds(0.05)  # a short burst of fresh samples
-    _report_device(ps, ps.read())
-    return 0
 
 
 def _report_device(ps, state) -> None:

@@ -10,26 +10,30 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from repro.analysis.streaming import StreamingPowerMonitor, StreamingStats
 from repro.cli.common import (
     add_device_arguments,
-    build_setup,
+    build_fleet,
+    member_prefix,
+    report_health,
     run_with_diagnostics,
-    setup_fleet,
 )
 from repro.core.health import StreamHealth
 from repro.observability import MetricsRegistry, Tracer
 
 
-def format_stats_line(health: StreamHealth, registry: MetricsRegistry) -> str:
+def format_stats_line(
+    health: StreamHealth, registry: MetricsRegistry, device: str
+) -> str:
     """The live stats line: stream health plus decode throughput.
 
-    One fixed-format stderr line per reporting interval, e.g.::
+    One fixed-format stderr line per device and reporting interval, e.g.::
 
         stats: samples=19999 dropped=0 retries=0 gaps=0 sps=3.1e+06
     """
-    sps = registry.value("decode_samples_per_second", default=0.0)
+    sps = registry.value("decode_samples_per_second", default=0.0, device=device)
     return (
         f"stats: samples={health.samples_decoded} "
         f"dropped={health.packets_dropped} "
@@ -72,86 +76,50 @@ def main(argv: list[str] | None = None) -> int:
 def _monitor(
     args: argparse.Namespace, registry: MetricsRegistry, tracer: Tracer
 ) -> int:
-    setup = build_setup(args, registry, tracer)
-    try:
-        fleet = setup_fleet(setup)
-        if fleet is not None:
-            return _monitor_fleet(args, fleet)
-        monitor = StreamingPowerMonitor()
+    with build_fleet(args, registry, tracer) as fleet:
+        # One row per device and interval; a fleet adds a device column.
+        column = "  {}" if len(fleet) > 1 else ""
+        monitors = {name: StreamingPowerMonitor() for name in fleet.names}
         print(
-            f"{'t':>6} {'mean W':>9} {'min W':>9} {'max W':>9} {'std W':>8} {'energy J':>10}"
+            f"{'t':>6} {'mean W':>9} {'min W':>9} {'max W':>9} {'std W':>8} "
+            f"{'energy J':>10}{column.format('device')}"
         )
 
         elapsed = 0.0
         while elapsed < args.duration:
             span = min(args.interval, args.duration - elapsed)
-            window = StreamingStats()
-            block = setup.ps.pump_seconds(span)
-            monitor.update(block)
-            if len(block):
-                window.update(block.total_power())
-                print(
-                    f"{elapsed + span:5.1f}s {window.mean:9.3f} {window.minimum:9.3f} "
-                    f"{window.maximum:9.3f} {window.std:8.3f} "
-                    f"{monitor.energy_joules:10.3f}"
-                )
-            print(format_stats_line(setup.ps.health, registry), file=sys.stderr)
+            for name, block in fleet.read_all(span).items():
+                monitor = monitors[name]
+                monitor.update(block)
+                if len(block):
+                    window = StreamingStats()
+                    window.update(block.total_power())
+                    print(
+                        f"{elapsed + span:5.1f}s {window.mean:9.3f} "
+                        f"{window.minimum:9.3f} {window.maximum:9.3f} "
+                        f"{window.std:8.3f} {monitor.energy_joules:10.3f}"
+                        f"{column.format(name)}"
+                    )
+                stats = format_stats_line(fleet[name].health, registry, name)
+                print(f"{member_prefix(fleet, name)}{stats}", file=sys.stderr)
             elapsed += span
             if not args.fast:
-                import time
-
                 time.sleep(span)
 
-        total = monitor.total
-        print(
-            f"\n{total.count} samples: mean {total.mean:.3f} W "
-            f"(p-p {total.peak_to_peak:.3f} W, std {total.std:.3f} W), "
-            f"total energy {monitor.energy_joules:.3f} J"
-        )
-        if setup.ps.health.degraded:
-            print(f"stream health: {setup.ps.health.summary()}", file=sys.stderr)
+        print()
+        for name, monitor in monitors.items():
+            total = monitor.total
+            print(
+                f"{member_prefix(fleet, name)}{total.count} samples: "
+                f"mean {total.mean:.3f} W "
+                f"(p-p {total.peak_to_peak:.3f} W, std {total.std:.3f} W), "
+                f"total energy {monitor.energy_joules:.3f} J"
+            )
+        if len(fleet) > 1:
+            energy = sum(monitor.energy_joules for monitor in monitors.values())
+            print(f"fleet energy: {energy:.3f} J across {len(fleet)} device(s)")
+        report_health(fleet)
         return 0
-    finally:
-        setup.close()
-
-
-def _monitor_fleet(args: argparse.Namespace, fleet) -> int:
-    """Per-interval rolling statistics aggregated across a device fleet."""
-    monitors = {name: StreamingPowerMonitor() for name in fleet.names}
-    print(f"{'t':>6} {'mean W':>9} {'energy J':>10}  per-device W")
-
-    elapsed = 0.0
-    while elapsed < args.duration:
-        span = min(args.interval, args.duration - elapsed)
-        fleet_block = fleet.read_all(span)
-        per_device = []
-        for name, block in fleet_block.items():
-            monitors[name].update(block)
-            if len(block):
-                per_device.append(f"{name}={float(block.total_power().mean()):.3f}")
-        energy = sum(m.energy_joules for m in monitors.values())
-        print(
-            f"{elapsed + span:5.1f}s {fleet_block.mean_power():9.3f} "
-            f"{energy:10.3f}  {' '.join(per_device)}"
-        )
-        elapsed += span
-        if not args.fast:
-            import time
-
-            time.sleep(span)
-
-    for name, health in fleet.health().items():
-        print(
-            f"{name}: {monitors[name].total.count} samples, "
-            f"mean {monitors[name].total.mean:.3f} W, "
-            f"energy {monitors[name].energy_joules:.3f} J",
-            file=sys.stderr,
-        )
-        if health.degraded:
-            print(f"{name} stream health: {health.summary()}", file=sys.stderr)
-    total_energy = sum(m.energy_joules for m in monitors.values())
-    print(f"\nfleet energy: {total_energy:.3f} J across {len(fleet)} device(s)")
-    return 0
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ leaves plotting to the user; this keeps the repository dependency-free.)
 Without a dump file, psplot captures ``--seconds`` of stream from the
 device the standard flags describe (``--modules``/``--dut``, ``--remote``,
 ``--faults``, repeatable ``--device`` specs) and plots that instead — one
-chart per fleet device.
+chart per device.
 """
 
 from __future__ import annotations
@@ -17,12 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cli.common import (
-    add_device_arguments,
-    build_setup,
-    run_with_diagnostics,
-    setup_fleet,
-)
+from repro.cli.common import add_device_arguments, build_fleet, run_with_diagnostics
 from repro.common.errors import ConfigurationError
 from repro.core.dump import DumpReader
 from repro.observability import MetricsRegistry, Tracer
@@ -230,29 +225,22 @@ def _plot_live(
     args: argparse.Namespace, registry: MetricsRegistry, tracer: Tracer
 ) -> int:
     """Capture --seconds of stream from the described device(s) and plot."""
-    setup = build_setup(args, registry, tracer)
-    try:
-        fleet = setup_fleet(setup)
+    with build_fleet(args, registry, tracer) as fleet:
+        several = len(fleet) > 1
         if args.history:
-            link = getattr(setup, "link", None)
-            if link is None or not hasattr(link, "query_history"):
-                raise ConfigurationError(
-                    "--history queries a serving daemon's recorded store; "
-                    "point psplot at one with --remote"
-                )
-            result = link.query_history(args.t0, args.t1, max(args.max_points, 1))
-            _plot_result(args, tracer, result, label="history")
+            for name, member in fleet.members.items():
+                link = getattr(member.bench, "link", None)
+                if link is None or not hasattr(link, "query_history"):
+                    raise ConfigurationError(
+                        "--history queries a serving daemon's recorded store; "
+                        "point psplot at one with --remote"
+                    )
+                result = link.query_history(args.t0, args.t1, max(args.max_points, 1))
+                _plot_result(args, tracer, result, label=name if several else "history")
             return 0
-        if fleet is not None:
-            blocks = fleet.read_all(args.seconds)
-            for name, block in blocks.items():
-                _plot_block(args, tracer, block, label=name)
-            return 0
-        block = setup.ps.pump_seconds(args.seconds)
-        _plot_block(args, tracer, block, label="live")
+        for name, block in fleet.read_all(args.seconds).items():
+            _plot_block(args, tracer, block, label=name if several else "live")
         return 0
-    finally:
-        setup.close()
 
 
 def _plot_block(args: argparse.Namespace, tracer: Tracer, block, label: str) -> None:

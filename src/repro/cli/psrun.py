@@ -13,16 +13,17 @@ failures degrade to a one-line diagnostic with a distinct exit status
 from __future__ import annotations
 
 import argparse
+import contextlib
 import subprocess
 import sys
 
-import contextlib
-
 from repro.cli.common import (
     add_device_arguments,
-    build_setup,
+    build_fleet,
+    member_paths,
+    member_prefix,
+    report_health,
     run_with_diagnostics,
-    setup_fleet,
 )
 from repro.core.realtime import RealtimeDriver
 from repro.core.state import State, joules, seconds, watts
@@ -90,80 +91,39 @@ def _measure(
     registry: MetricsRegistry,
     tracer: Tracer,
 ) -> int:
-    setup = build_setup(args, registry, tracer)
-    try:
-        fleet = setup_fleet(setup)
-        if fleet is not None:
-            return _measure_fleet(args, command, fleet, tracer)
-        ps = setup.ps
+    with build_fleet(args, registry, tracer) as fleet, contextlib.ExitStack() as stack:
         if args.dump:
-            ps.dump(args.dump)
+            for name, path in member_paths(fleet, args.dump).items():
+                fleet[name].ps.dump(path)
         if args.record_store:
-            ps.record(args.record_store)
-        with RealtimeDriver(ps, time_scale=args.time_scale) as driver:
-            before = driver.read()
-            try:
-                with tracer.span("command"):
-                    completed = subprocess.run(command)
-            except OSError as error:
-                print(f"psrun: cannot run {command[0]!r}: {error}", file=sys.stderr)
-                return EXIT_COMMAND_NOT_RUN
-            exit_code = completed.returncode
-            after = driver.read()
-
-        print(f"exit status: {exit_code}", file=sys.stderr)
-        print(format_measurement(before, after))
-        if ps.health.degraded:
-            print(f"stream health: {ps.health.summary()}", file=sys.stderr)
-        return exit_code
-    finally:
-        setup.close()
-
-
-def _measure_fleet(
-    args: argparse.Namespace, command: list[str], fleet, tracer: Tracer
-) -> int:
-    """Run the command while every fleet device pumps in real time."""
-    if args.dump:
-        # One dump file per device: "out.txt" -> "out.<device>.txt".
-        from pathlib import Path
-
-        base = Path(args.dump)
-        for name, member in fleet.members.items():
-            member.ps.dump(str(base.with_suffix(f".{name}{base.suffix}")))
-    if args.record_store:
-        # One store per device: "dir" -> "dir/<device>".
-        from pathlib import Path
-
-        for name, member in fleet.members.items():
-            member.ps.record(str(Path(args.record_store) / name))
-    drivers = {
-        name: RealtimeDriver(member.ps, time_scale=args.time_scale)
-        for name, member in fleet.members.items()
-    }
-    with contextlib.ExitStack() as stack:
-        for driver in drivers.values():
-            stack.enter_context(driver)
-        before = {name: d.read() for name, d in drivers.items()}
+            stores = member_paths(fleet, args.record_store, subdir=True)
+            for name, path in stores.items():
+                fleet[name].ps.record(path)
+        drivers = {
+            name: stack.enter_context(
+                RealtimeDriver(member.ps, time_scale=args.time_scale)
+            )
+            for name, member in fleet.members.items()
+        }
+        before = {name: driver.read() for name, driver in drivers.items()}
         try:
             with tracer.span("command"):
                 completed = subprocess.run(command)
         except OSError as error:
             print(f"psrun: cannot run {command[0]!r}: {error}", file=sys.stderr)
             return EXIT_COMMAND_NOT_RUN
-        exit_code = completed.returncode
-        after = {name: d.read() for name, d in drivers.items()}
+        after = {name: driver.read() for name, driver in drivers.items()}
+        stack.close()  # stop the pumps before reporting
 
-    print(f"exit status: {exit_code}", file=sys.stderr)
-    total_joules = 0.0
-    for name in drivers:
-        total_joules += joules(before[name], after[name])
-        print(f"{name}: {format_measurement(before[name], after[name])}")
-    print(f"fleet total: {total_joules:.3f} J across {len(drivers)} device(s)")
-    for name, health in fleet.health().items():
-        if health.degraded:
-            print(f"{name} stream health: {health.summary()}", file=sys.stderr)
-    return exit_code
+        print(f"exit status: {completed.returncode}", file=sys.stderr)
+        for name in fleet.names:
+            measured = format_measurement(before[name], after[name])
+            print(f"{member_prefix(fleet, name)}{measured}")
+        if len(fleet) > 1:
+            total = sum(joules(before[name], after[name]) for name in fleet.names)
+            print(f"fleet total: {total:.3f} J across {len(fleet)} device(s)")
+        report_health(fleet)
+        return completed.returncode
 
 
 if __name__ == "__main__":

@@ -1,13 +1,14 @@
 """psserve: serve one or more PowerSensor devices to many subscribers.
 
 The daemon assembles the usual simulated bench (``--modules``, ``--dut``,
-``--seed``, optional ``--faults`` on the device link) — or a whole fleet
-of devices from repeated ``--device SPEC`` flags — then listens on a TCP
-or Unix socket and fans each device's stream out to every connected
-client (``psrun --remote``, ``psmonitor --remote``, the PMT remote
-backend, or any :class:`~repro.server.RemoteSampleSource`; clients pick a
-device by name in the subscription).  See ``docs/serving.md`` for the
-wire protocol and backpressure policies.
+``--seed``, optional ``--faults`` on the device link), served as
+``device0`` — or a whole fleet of devices from repeated ``--device SPEC``
+flags — then listens on a TCP or Unix socket and fans each device's
+stream out to every connected client (``psrun --remote``, ``psmonitor
+--remote``, the PMT remote backend, or any
+:class:`~repro.server.RemoteSampleSource`; clients pick a device by name
+in the subscription).  See ``docs/serving.md`` for the wire protocol and
+backpressure policies.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import sys
 
 from repro.cli.common import (
     add_device_arguments,
-    build_setup,
+    build_fleet,
+    report_health,
     run_with_diagnostics,
-    setup_fleet,
 )
 from repro.common.errors import ConfigurationError
 from repro.observability import MetricsRegistry, Tracer
@@ -142,12 +143,9 @@ def _serve(args: argparse.Namespace, registry: MetricsRegistry, tracer: Tracer) 
             "psserve relays the device's wire bytes; it needs the "
             "byte-accurate protocol path (drop --direct)"
         )
-    setup = build_setup(args, registry, tracer)
-    try:
-        fleet = setup_fleet(setup)
-        source = fleet.sources() if fleet is not None else setup.source
+    with build_fleet(args, registry, tracer) as fleet:
         server = PowerSensorServer(
-            source,
+            fleet.sources(),
             args.listen,
             policy=args.policy,
             buffer_frames=args.buffer_frames,
@@ -180,15 +178,8 @@ def _serve(args: argparse.Namespace, registry: MetricsRegistry, tracer: Tracer) 
             f"{stats['clients_evicted']} evicted ({stats['reason']})",
             file=sys.stderr,
         )
-        if fleet is not None:
-            for name, health in fleet.health().items():
-                if health.degraded:
-                    print(f"{name} stream health: {health.summary()}", file=sys.stderr)
-        elif setup.ps.health.degraded:
-            print(f"stream health: {setup.ps.health.summary()}", file=sys.stderr)
+        report_health(fleet)
         return 0
-    finally:
-        setup.close()
 
 
 if __name__ == "__main__":

@@ -13,12 +13,14 @@ import argparse
 
 from repro.cli.common import (
     add_device_arguments,
-    build_setup,
+    build_fleet,
+    member_paths,
+    member_prefix,
     run_with_diagnostics,
-    setup_fleet,
 )
+from repro.common.errors import MeasurementError
 from repro.common.stats import summarize
-from repro.core.state import joules, seconds, watts
+from repro.core.state import joules, seconds
 from repro.observability import MetricsRegistry, Tracer
 
 
@@ -55,74 +57,40 @@ def main(argv: list[str] | None = None) -> int:
 def _selftest(
     args: argparse.Namespace, registry: MetricsRegistry, tracer: Tracer
 ) -> int:
-    setup = build_setup(args, registry, tracer)
-    try:
-        fleet = setup_fleet(setup)
-        if fleet is not None:
-            return _selftest_fleet(args, fleet)
-        ps = setup.ps
+    with build_fleet(args, registry, tracer) as fleet:
         if args.dump:
-            ps.dump(args.dump)
+            for name, path in member_paths(fleet, args.dump).items():
+                fleet[name].ps.dump(path)
 
         interval = 0.001
         print(f"{'interval':>12} {'energy':>12} {'power':>10}")
         for _ in range(args.intervals):
-            before = ps.read()
-            ps.pump_seconds(interval)
-            after = ps.read()
-            print(
-                f"{seconds(before, after):>10.4f} s "
-                f"{joules(before, after):>10.4f} J "
-                f"{watts(before, after):>9.3f} W"
-            )
+            before = fleet.read()
+            fleet.read_all(interval)
+            after = fleet.read()
+            # The measured stream time, not the nominal interval: members
+            # advance together, and a tape that ran dry adds no time.
+            spans = [(before[name], after[name]) for name in fleet.names]
+            elapsed = max(seconds(a, b) for a, b in spans)
+            energy = sum(joules(a, b) for a, b in spans)
+            if elapsed <= 0:
+                raise MeasurementError(f"no samples arrived in a {interval:g} s read")
+            print(f"{elapsed:>10.4f} s {energy:>10.4f} J {energy / elapsed:>9.3f} W")
             interval *= 2
 
         if args.capture:
-            block = ps.pump(args.capture)
-            power = block.pair_power(0)
-            summary = summarize(power)
-            print(
-                f"\ncaptured {summary.count} samples: "
-                f"mean={summary.mean:.4f} W min={summary.minimum:.4f} W "
-                f"max={summary.maximum:.4f} W p-p={summary.peak_to_peak:.4f} W "
-                f"std={summary.std:.4f} W"
-            )
+            for name, member in fleet.members.items():
+                power = member.ps.pump(args.capture).pair_power(0)
+                if not power.size:
+                    continue  # a tape that ran dry
+                summary = summarize(power)
+                print(
+                    f"\n{member_prefix(fleet, name)}captured {summary.count} samples: "
+                    f"mean={summary.mean:.4f} W min={summary.minimum:.4f} W "
+                    f"max={summary.maximum:.4f} W p-p={summary.peak_to_peak:.4f} W "
+                    f"std={summary.std:.4f} W"
+                )
         return 0
-    finally:
-        setup.close()
-
-
-def _selftest_fleet(args: argparse.Namespace, fleet) -> int:
-    """The interval ladder with energy/power aggregated across the fleet."""
-    interval = 0.001
-    print(f"{'interval':>12} {'energy':>12} {'power':>10}")
-    for _ in range(args.intervals):
-        before = fleet.read()
-        fleet.read_all(interval)
-        after = fleet.read()
-        energy = after.total_energy - before.total_energy
-        print(
-            f"{interval:>10.4f} s "
-            f"{energy:>10.4f} J "
-            f"{energy / interval:>9.3f} W"
-        )
-        interval *= 2
-
-    if args.capture:
-        fleet_block = fleet.read_all(args.capture / min(
-            member.source.sample_rate for member in fleet
-        ))
-        for name, block in fleet_block.items():
-            if not len(block):
-                continue
-            summary = summarize(block.pair_power(0))
-            print(
-                f"\n{name}: captured {summary.count} samples: "
-                f"mean={summary.mean:.4f} W min={summary.minimum:.4f} W "
-                f"max={summary.maximum:.4f} W p-p={summary.peak_to_peak:.4f} W "
-                f"std={summary.std:.4f} W"
-            )
-    return 0
 
 
 if __name__ == "__main__":

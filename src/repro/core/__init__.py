@@ -23,7 +23,7 @@ from repro.core.dump import DumpReader, DumpWriter
 from repro.core.health import StreamHealth
 from repro.core.powersensor import DEFAULT_RECOVERY, PowerSensor, RecoveryPolicy
 from repro.core.setup import SimulatedSetup
-from repro.core.fleet import Fleet, FleetBlock, FleetMember, FleetSetup, FleetState
+from repro.core.fleet import Fleet, FleetBlock, FleetMember, FleetState
 from repro.core.sources import (
     DirectSampleSource,
     ProtocolSampleSource,
@@ -57,7 +57,6 @@ __all__ = [
     "Fleet",
     "FleetBlock",
     "FleetMember",
-    "FleetSetup",
     "FleetState",
     "DumpReader",
     "DumpWriter",

@@ -18,10 +18,11 @@ Members are described by URI device specs (``sim://…``, ``remote://…``,
 ``replay://…``, ``store://…``), which :func:`build_bench` — the one
 dispatcher from a spec to a bench — turns into devices; a spec without a
 scheme is shorthand for a simulated bench with those module keys.
-Every member gets a
-unique name — from the spec's ``device=`` option or generated — and that
-name becomes the ``device=`` label on all of the member's stream,
-decode, retry and span metrics in the shared registry.
+Every member gets a unique name — the spec's ``device=`` option, or else
+the next free name of ``device0``, ``device1``, … (the names psserve
+gives unnamed sources) — and that name becomes the ``device=`` label on
+all of the member's stream, decode, retry and span metrics in the shared
+registry.
 """
 
 from __future__ import annotations
@@ -82,7 +83,9 @@ def build_bench(
 
     A spec without ``://`` is shorthand for ``sim://<spec>``.  Keyword
     ``overrides`` take precedence over the spec's options; ``name``
-    overrides its ``device=`` option as the bench's device label.  The
+    overrides its ``device=`` option as the bench's device label (a
+    ``remote://`` bench still subscribes to the served device its
+    ``device=`` option names, or the server's first).  The
     scheme and every option are checked before anything is opened,
     connected or calibrated: an unknown scheme or option raises
     :class:`ConfigurationError` naming them.
@@ -140,6 +143,7 @@ def build_bench(
         window = int(options.get("window", 0))
         return RemoteSetup(
             parsed.target,
+            subscribe=str(spec_device) if spec_device else None,
             mode=str(options.get("mode", "window" if window > 1 else "raw")),
             window=max(window, 1),
             recovery=recovery,
@@ -286,7 +290,7 @@ class Fleet:
 
     def _generate_name(self) -> str:
         while True:
-            name = f"dev{self._auto_index}"
+            name = f"device{self._auto_index}"
             self._auto_index += 1
             if name not in self.members:
                 return name
@@ -403,56 +407,6 @@ class Fleet:
             raise errors[0]
 
     def __enter__(self) -> "Fleet":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class FleetSetup:
-    """A multi-device bench with the attribute surface the CLI tools use.
-
-    Built by :func:`repro.cli.common.build_setup` when more than one
-    ``--device`` spec is given.  Single-device operations (``ps``,
-    ``source``) resolve to the *first* member, so code written for one
-    device keeps working; fleet-aware callers use :attr:`fleet`.
-    """
-
-    def __init__(
-        self,
-        specs: list[str],
-        registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-        recovery: RecoveryPolicy | None = DEFAULT_RECOVERY,
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer(self.registry)
-        self.fleet = Fleet.from_specs(
-            specs, registry=self.registry, tracer=self.tracer, recovery=recovery
-        )
-
-    @property
-    def _first(self) -> FleetMember:
-        if not len(self.fleet):
-            raise MeasurementError("the fleet has no devices")
-        return next(iter(self.fleet))
-
-    @property
-    def ps(self) -> PowerSensor:
-        return self._first.ps
-
-    @property
-    def source(self) -> SampleSource:
-        return self._first.source
-
-    @property
-    def sample_rate(self) -> float:
-        return max(member.source.sample_rate for member in self.fleet)
-
-    def close(self) -> None:
-        self.fleet.close()
-
-    def __enter__(self) -> "FleetSetup":
         return self
 
     def __exit__(self, *exc) -> None:

@@ -32,6 +32,7 @@ under every fault model.
 from __future__ import annotations
 
 import abc
+import time
 from dataclasses import dataclass, field
 from urllib.parse import parse_qsl
 
@@ -642,11 +643,16 @@ class DirectSampleSource(SampleSource):
                 markers=np.zeros(0, dtype=bool),
                 enabled=np.array([c.enabled for c in self.configs]),
             )
+        start = time.perf_counter()
         origin, first = self.clock.origin, self.clock.ticks
         codes = self.baseboard.averaged_codes(origin, n_samples, first)
         self.clock.tick(n_samples)
         self.health.samples_decoded += n_samples
         values, enabled = convert_codes(codes, self.configs)
+        elapsed = time.perf_counter() - start
+        self._samples_gauge.set(n_samples)
+        if n_samples and elapsed > 0:
+            self._throughput_gauge.set(n_samples / elapsed)
         # Match the firmware timestamp convention (after 3 of 6 scans),
         # including its microsecond rounding.
         times = origin + np.arange(first, first + n_samples) * timing.output_interval_s

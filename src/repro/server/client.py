@@ -439,7 +439,10 @@ class RemoteSampleSource(ProtocolSampleSource):
 
     ``mode="window"`` subscribes to server-side averaged windows of
     ``window`` samples each; the source then presents one sample per
-    window at ``sample_rate / window``.
+    window at ``sample_rate / window``.  ``device`` names the served
+    device to subscribe to and labels the source's metrics; given a
+    connected :class:`RemoteLink`, it only labels them (default: the
+    link's device).
     """
 
     def __init__(
@@ -476,7 +479,7 @@ class RemoteSampleSource(ProtocolSampleSource):
             link,
             registry=registry,
             tracer=tracer,
-            device=link.device,
+            device=device or link.device,
         )
 
     # The serial-link property chain ends at the daemon, not a local
@@ -582,6 +585,10 @@ class RemoteSetup:
     bench (baseboard, EEPROM, calibration) lives on the serving host;
     touching it here raises :class:`ServerError`.
 
+    ``subscribe`` names the served device to stream (default: the
+    server's first); ``device`` labels this bench's metrics, as it does
+    for the other benches.
+
     ``faults`` injects the usual fault models on the *client's* receive
     path — the framing layer, not the device stream — for exercising the
     wire protocol's resynchronisation.
@@ -593,6 +600,7 @@ class RemoteSetup:
         mode: str = "raw",
         window: int = 1,
         device: str | None = None,
+        subscribe: str | None = None,
         recovery: RecoveryPolicy | None = DEFAULT_RECOVERY,
         faults: str | list | None = None,
         fault_seed: int = 0,
@@ -619,19 +627,20 @@ class RemoteSetup:
                     registry=self.registry,
                 )
 
-        self.source = RemoteSampleSource(
+        self.link = RemoteLink(
             remote,
             mode=mode,
             window=window,
-            device=device,
+            device=subscribe,
             recovery=recovery,
             registry=self.registry,
-            tracer=self.tracer,
             connect_timeout=connect_timeout,
             handshake_timeout=handshake_timeout,
             stream_factory=stream_factory,
         )
-        self.link = self.source.link
+        self.source = RemoteSampleSource(
+            self.link, device=device, registry=self.registry, tracer=self.tracer
+        )
         self.ps = PowerSensor(self.source, recovery=recovery)
 
     @property

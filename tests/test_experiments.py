@@ -170,3 +170,9 @@ def test_fig12_ftl_energy_per_io_and_map_size_across_policies():
     # ...but hold far smaller mapping tables than the page map.
     assert rows["group"]["map [KiB]"] < rows["page"]["map [KiB]"] / 4
     assert rows["hybrid"]["map [KiB]"] < rows["page"]["map [KiB]"]
+    # Over the random-write run, each policy's write amplification
+    # relative to page's is its energy per IO relative to page's.
+    for name in ("group", "compressed", "hybrid"):
+        wa = rows[name]["WA"] / rows["page"]["WA"]
+        per_io = rows[name]["J/IO [uJ]"] / rows["page"]["J/IO [uJ]"]
+        assert wa / per_io == pytest.approx(1.0, abs=0.15), name

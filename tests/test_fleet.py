@@ -25,7 +25,7 @@ from repro.core import (
     create_source,
 )
 from repro.core.dump import DumpWriter
-from repro.core.fleet import Fleet, FleetSetup, build_bench
+from repro.core.fleet import Fleet, build_bench
 from repro.core.replay import ReplaySampleSource, TapeSetup
 from repro.core.sources import parse_source_spec
 from repro.hardware.eeprom import SENSORS
@@ -403,16 +403,6 @@ def test_fleet_metrics_carry_device_labels():
         assert fleet.registry.find("stream_samples_decoded_total") is None
 
 
-def test_fleet_setup_presents_first_member():
-    setup = FleetSetup([SIM_SPEC + "&device=a", SIM_SPEC + "&device=b"])
-    try:
-        assert setup.ps is setup.fleet["a"].ps
-        assert setup.source is setup.fleet["a"].source
-        assert setup.sample_rate == pytest.approx(20_000.0)
-    finally:
-        setup.close()
-
-
 def test_fleet_mixes_sim_and_replay(tmp_path):
     tape = tmp_path / "run.dump"
     record_tape(tape, n=1600)
@@ -535,6 +525,22 @@ def test_config_roundtrip_remote_source(tmp_path):
         src.start()
         read_exactly(src, 400)
         src.close()
+
+
+def test_unnamed_remote_members_subscribe_by_spec_and_count_by_name(tmp_path):
+    # Neither spec names a served device, so both subscribe to the
+    # server's only one ("gpu0"); the generated member names still keep
+    # their counters apart.
+    with served(tmp_path, duration=0.5, wait_clients=2, device="gpu0") as server:
+        spec = f"remote://{server.address}"
+        with Fleet.from_specs([spec, spec]) as fleet:
+            assert fleet.names == ["device0", "device1"]
+            fleet.read_all(0.02)
+            for name in fleet.names:
+                assert fleet[name].source.link.suback["device"] == "gpu0"
+                assert fleet.registry.value(
+                    "stream_samples_decoded_total", device=name
+                ) == 400
 
 
 # --------------------------------------------------------------------------- #

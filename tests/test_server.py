@@ -55,10 +55,11 @@ def served(
     amps=8.0,
     max_clients=64,
     buffer_frames=256,
+    device=None,
 ):
     """A loaded protocol bench served on a Unix socket, pumping in background."""
     setup = make_loaded_setup(
-        amps=amps, direct=False, seed=seed, calibration_samples=1024
+        amps=amps, direct=False, seed=seed, calibration_samples=1024, device=device
     )
     setup.source.start()
     server = PowerSensorServer(
@@ -593,6 +594,22 @@ def test_psrun_remote_matches_local_power(tmp_path, capsys):
     remote_watts = float(remote_out.strip().rsplit(",", 1)[1].split()[0])
     assert local_watts == pytest.approx(96.0, rel=0.02)
     assert remote_watts == pytest.approx(local_watts, rel=0.01)
+
+
+def test_device_remote_spec_reads_what_the_remote_flag_reads(tmp_path, capsys):
+    # Without device=, a remote:// spec subscribes to the server's first
+    # device whatever it is named, as --remote does.
+    from repro.cli import psinfo
+
+    outs = []
+    for flags in (["--remote", "{}"], ["--device", "remote://{}"]):
+        where = tmp_path / flags[0].strip("-")
+        where.mkdir()
+        with served(where, duration=2.0, device="gpu0") as server:
+            assert psinfo.main([flags[0], flags[1].format(server.address)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert "total power: 9" in outs[0]  # 8 A at 12 V
+    assert outs[1] == outs[0]
 
 
 def test_pmt_remote_backend_meters_the_shared_device(tmp_path):
