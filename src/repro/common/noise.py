@@ -88,7 +88,7 @@ class OrnsteinUhlenbeckNoise:
             x_rho = rho
         else:
             x_rho = self._decay(start + dt * first - self._last_time)
-        z = self._rng.normal(0.0, 1.0, size=n)
+        z = self._rng.generator.standard_normal(n)
         x0 = x_rho * self._last_value + z[0] * self._innovation_sigma(x_rho)
         z *= self._innovation_sigma(rho)
         out = _ar1_filter(rho, x0, z)
@@ -100,18 +100,17 @@ class OrnsteinUhlenbeckNoise:
 def _ar1_filter(rho: float, x0: float, innovations: np.ndarray) -> np.ndarray:
     """Evaluate x[i] = rho * x[i-1] + innovations[i], x[0] = x0, vectorised.
 
-    The recurrence is a single-pole IIR filter, so ``scipy.signal.lfilter``
-    evaluates it exactly in one C pass — no block-size/precision trade-off
-    like the closed-form cumulative-sum formulation needs, and ~2 orders of
-    magnitude faster than a Python loop for the short chunk sizes the
-    firmware simulation uses.
+    ``innovations[0]`` is unused: it is overwritten with ``x0`` in place,
+    so pass an array the caller owns.  The recurrence is a single-pole IIR
+    filter, so ``scipy.signal.lfilter`` evaluates it exactly in one C pass
+    — no block-size/precision trade-off like the closed-form
+    cumulative-sum formulation needs, and ~2 orders of magnitude faster
+    than a Python loop for the short chunk sizes the firmware simulation
+    uses.
     """
     from scipy.signal import lfilter
 
-    n = innovations.size
-    if n == 0:
+    if innovations.size == 0:
         return np.empty(0)
-    driven = np.array(innovations, dtype=float, copy=True)
-    driven[0] = x0  # the first output is x0 exactly; innovations[0] is unused
-    out = lfilter([1.0], [1.0, -rho], driven)
-    return out
+    innovations[0] = x0
+    return lfilter([1.0], [1.0, -rho], innovations)

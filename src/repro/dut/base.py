@@ -249,27 +249,34 @@ class SplitRail:
 
     A PCIe GPU draws from the slot (3.3 V and 12 V) and external 12 V
     connectors simultaneously; ``SplitRail`` carves a fixed share of a
-    total-power rail into one feed at its own nominal voltage.
+    board trace's power into one feed at its own nominal voltage.
     """
 
-    def __init__(self, total_watts_fn: Callable[[np.ndarray], np.ndarray],
-                 share: float, volts: float, droop_ohms: float = 0.0):
+    def __init__(self, trace: PowerTrace, share: float, volts: float,
+                 droop_ohms: float = 0.0):
         if not 0.0 <= share <= 1.0:
             raise MeasurementError(f"share must be in [0, 1], got {share}")
-        self.total_watts_fn = total_watts_fn
+        self.trace = trace
         self.share = float(share)
         self.nominal_volts = float(volts)
         self.droop_ohms = float(droop_ohms)
 
     def sample_uniform(self, start: float, dt: float, n: int, first: int = 0):
-        times = start + dt * np.arange(first, first + n)
-        watts = np.asarray(self.total_watts_fn(times), dtype=float) * self.share
+        idx = self.trace.hold_index(start + dt * np.arange(first, first + n))
+        if idx.size == 0:
+            return np.zeros(0), np.zeros(0)
+        # The feed arithmetic runs once per trace point the block spans,
+        # then each time gathers its point's result.
+        lo, hi = idx[0], idx[-1] + 1
+        idx -= lo
+        trace = self.trace
+        watts = trace.volts[lo:hi] * trace.amps[lo:hi] * self.share
         # Solve u = V0 - R * i with i = p / u; one Newton step from u = V0
         # is plenty for the few-mOhm droops involved.
-        volts = np.full(n, self.nominal_volts)
+        volts = np.full(watts.size, self.nominal_volts)
         if self.droop_ohms > 0.0:
             amps0 = watts / volts
             volts = volts - self.droop_ohms * amps0
             volts = np.maximum(volts, 0.5 * self.nominal_volts)
         amps = watts / volts
-        return volts, amps
+        return volts[idx], amps[idx]

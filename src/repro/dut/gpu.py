@@ -258,21 +258,12 @@ class Gpu:
     # ------------------------------------------------------------------ #
 
     def rails(self, trace: PowerTrace) -> dict[str, SplitRail]:
-        """Split a board trace into the three physical feeds of a PCIe card.
-
-        The rails read the trace's power as it is when they are built, so
-        the trace must not be modified afterwards.
-        """
-        watts = trace.watts
-
-        def total_watts(times: np.ndarray) -> np.ndarray:
-            return watts[trace.hold_index(times)]
-
+        """Split a board trace into the three physical feeds of a PCIe card."""
         spec = self.spec
         return {
-            "slot_3v3": SplitRail(total_watts, spec.slot_3v3_share, 3.3, 0.002),
-            "slot_12v": SplitRail(total_watts, spec.slot_12v_share, 12.0, 0.004),
-            "ext_12v": SplitRail(total_watts, spec.ext_12v_share, 12.0, 0.004),
+            "slot_3v3": SplitRail(trace, spec.slot_3v3_share, 3.3, 0.002),
+            "slot_12v": SplitRail(trace, spec.slot_12v_share, 12.0, 0.004),
+            "ext_12v": SplitRail(trace, spec.ext_12v_share, 12.0, 0.004),
         }
 
     def reset(self) -> None:

@@ -157,6 +157,13 @@ class Baseboard:
         out[:, :, 1] = self.adc.quantize(u_analog).reshape(n_output, t.averages)
 
     def _average(self, raw: np.ndarray) -> np.ndarray:
-        """Average the scans of ``raw`` (axis 1) the way the firmware rounds."""
-        summed = raw.sum(axis=1, dtype=np.int64)
-        return (summed + self.timing.averages // 2) // self.timing.averages
+        """Average the scans of ``raw`` (axis 1) the way the firmware rounds.
+
+        The scans are added one slice at a time, which runs over
+        contiguous rows instead of reducing the short strided axis.
+        """
+        averages = self.timing.averages
+        summed = raw[:, 0].astype(np.int64)
+        for scan in range(1, averages):
+            summed += raw[:, scan]
+        return (summed + averages // 2) // averages

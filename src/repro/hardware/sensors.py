@@ -41,6 +41,13 @@ VOLTAGE_SENSOR_BANDWIDTH_HZ = 100_000.0
 CURRENT_NOISE_BANDWIDTH_HZ = 23_400.0
 VOLTAGE_NOISE_BANDWIDTH_HZ = 100_000.0
 
+#: Scans between the Hall drift's knots.  The drift is evaluated exactly at
+#: scan indices that are multiples of this, counted from index 0 of the
+#: scan grid, and interpolated linearly in between.  On the 8.33 us ADC
+#: scan grid the knots are 34 ms apart, against drift periods of 6 hours
+#: and more, so the interpolation error stays below 1e-12 A.
+DRIFT_KNOT_SCANS = 4096
+
 
 class ExternalField:
     """An ambient magnetic field at the sensor's location, in millitesla.
@@ -89,7 +96,10 @@ class _DriftModel:
     Drift is a deterministic function of time (ambient temperature modelled
     as a small diurnal sinusoid) plus a very slow bounded random component.
     It is evaluated analytically, so 50-hour stability experiments do not
-    need to integrate anything between sample windows.
+    need to integrate anything between sample windows.  On a scan grid it
+    is evaluated at knots fixed by scan index (:meth:`offset_on_grid`), so
+    the value at a scan depends only on its index, never on how a stream
+    is split into reads.
     """
 
     def __init__(self, tempco_a_per_k: float, rng: RngStream) -> None:
@@ -110,6 +120,21 @@ class _DriftModel:
         for amp, freq in zip(self.wander_amps, self.wander_freqs):
             drift = drift + amp * np.sin(2 * np.pi * freq * np.asarray(t, dtype=float))
         return drift
+
+    def offset_on_grid(self, start: float, dt: float, first: int, n: int) -> np.ndarray:
+        """Drift at ``start + k*dt`` for ``k = first..first+n-1``.
+
+        :meth:`offset_at` is evaluated only at the knots, the indices ``k``
+        that are multiples of :data:`DRIFT_KNOT_SCANS`, and each scan is
+        interpolated linearly between the two knots around it.
+        """
+        knots = np.arange(
+            first // DRIFT_KNOT_SCANS * DRIFT_KNOT_SCANS,
+            first + n + DRIFT_KNOT_SCANS - 1,
+            DRIFT_KNOT_SCANS,
+        )
+        scans = np.arange(first, first + n, dtype=float)
+        return np.interp(scans, knots, self.offset_at(start + dt * knots))
 
 
 class CurrentSensor:
@@ -161,29 +186,23 @@ class CurrentSensor:
     def zero_current_voltage(self) -> float:
         return self.vdd / 2.0
 
-    def _effective_current(
-        self, currents_a: np.ndarray, times: np.ndarray
-    ) -> np.ndarray:
-        effective = (
-            currents_a
-            + self.offset_a
-            + self._drift.offset_at(times)
-            + self.nonlinearity * currents_a**3
-        )
-        if self.external_field is not None and self.field_coupling_a_per_mt:
-            effective = effective + self.field_coupling_a_per_mt * (
-                self.external_field.at(times)
-            )
-        return effective
-
     def transduce_uniform(
         self, currents_a: np.ndarray, start: float, dt: float, first: int = 0
     ) -> np.ndarray:
         """Analog output voltages for true currents at ``start + k*dt``, ``k >= first``."""
         currents_a = np.asarray(currents_a, dtype=float)
         n = currents_a.size
-        times = start + dt * np.arange(first, first + n)
-        effective = self._effective_current(currents_a, times)
+        effective = (
+            currents_a
+            + self.offset_a
+            + self._drift.offset_on_grid(start, dt, first, n)
+            + self.nonlinearity * currents_a**3
+        )
+        if self.external_field is not None and self.field_coupling_a_per_mt:
+            times = start + dt * np.arange(first, first + n)
+            effective = effective + self.field_coupling_a_per_mt * (
+                self.external_field.at(times)
+            )
         v = self.zero_current_voltage + self.sensitivity * effective
         v = v + self._noise.sample_uniform(start, dt, n, first)
         return np.clip(v, 0.0, self.vdd)

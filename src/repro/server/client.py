@@ -81,6 +81,11 @@ def connect_stream(spec: str, timeout: float = 5.0) -> SocketByteStream:
 class RemoteLink:
     """A psserve connection presenting the serial-link control surface.
 
+    ``device`` names the served device to subscribe to; ``label`` stamps
+    ``device=<label>`` on the link's ``client_*_total`` counters, as a
+    named source does on its ``stream_*`` series, so the links of a
+    fleet's ``remote://`` members count apart.
+
     ``stream_factory`` (spec -> :class:`ByteStream`) lets callers wrap
     the socket — e.g. in a
     :class:`~repro.transport.bytestream.FaultyByteStream` — and is reused
@@ -93,6 +98,7 @@ class RemoteLink:
         mode: str = "raw",
         window: int = 1,
         device: str | None = None,
+        label: str | None = None,
         recovery: RecoveryPolicy | None = DEFAULT_RECOVERY,
         registry: MetricsRegistry | None = None,
         connect_timeout: float = 5.0,
@@ -137,22 +143,25 @@ class RemoteLink:
         self._stream: ByteStream | None = None
         self._decoder = FrameDecoder()
         self._mirrored = (0, 0, 0)
+        labels = {"device": label} if label else {}
         self._reconnect_counter = self.registry.counter(
-            "client_reconnects_total", help="times the remote link reconnected"
+            "client_reconnects_total", help="times the remote link reconnected", **labels
         )
         self._missed_counter = self.registry.counter(
             "client_frames_missed_total",
             help="DATA frames lost upstream (sequence gaps)",
+            **labels,
         )
         self._resync_counter = self.registry.counter(
-            "client_frame_resyncs_total", help="frame-level resynchronisations"
+            "client_frame_resyncs_total", help="frame-level resynchronisations", **labels
         )
         self._discarded_counter = self.registry.counter(
             "client_frame_bytes_discarded_total",
             help="bytes skipped while resynchronising frames",
+            **labels,
         )
         self._corrupt_counter = self.registry.counter(
-            "client_frames_corrupt_total", help="frames rejected by a CRC check"
+            "client_frames_corrupt_total", help="frames rejected by a CRC check", **labels
         )
         self._connect_with_retry(initial=True)
 
@@ -467,6 +476,7 @@ class RemoteSampleSource(ProtocolSampleSource):
                 mode=mode,
                 window=window,
                 device=device,
+                label=device,
                 recovery=recovery,
                 registry=registry,
                 connect_timeout=connect_timeout,
@@ -632,6 +642,7 @@ class RemoteSetup:
             mode=mode,
             window=window,
             device=subscribe,
+            label=device,
             recovery=recovery,
             registry=self.registry,
             connect_timeout=connect_timeout,

@@ -110,6 +110,19 @@ def test_slot_read_matches_the_board_read_and_leaves_other_slots_alone():
     np.testing.assert_array_equal(board.averaged_codes(0.0, 100)[:, 0:2], slot0)
 
 
+@pytest.mark.parametrize("averages", range(1, 17))
+@pytest.mark.parametrize("n_output", [0, 1, 7, 1000])
+def test_average_matches_the_strided_sum(averages, n_output):
+    board = Baseboard(AdcTiming(averages=averages))
+    rng = np.random.default_rng(17 * averages + n_output)
+    # Codes over the whole non-negative int16 range, so the sums overflow int16.
+    raw = rng.integers(0, 1 << 15, (n_output, averages, CHANNELS)).astype(np.int16)
+    want = (raw.sum(axis=1, dtype=np.int64) + averages // 2) // averages
+    got = board._average(raw)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
 def test_display_present_with_precomputed_fonts():
     board = Baseboard()
     assert board.display.stats.glyph_cache_misses > 0  # precompute ran

@@ -543,6 +543,29 @@ def test_unnamed_remote_members_subscribe_by_spec_and_count_by_name(tmp_path):
                 ) == 400
 
 
+def test_remote_members_keep_their_client_counters_apart(tmp_path):
+    # Each member's link counts its own frames, labelled with the member
+    # name its stream_* series carry, rather than adding into one series.
+    counters = {
+        "client_reconnects_total",
+        "client_frames_missed_total",
+        "client_frame_resyncs_total",
+        "client_frame_bytes_discarded_total",
+        "client_frames_corrupt_total",
+    }
+    with served(tmp_path, duration=0.5, wait_clients=2) as server:
+        spec = f"remote://{server.address}"
+        with Fleet.from_specs([spec, spec]) as fleet:
+            fleet.read_all(0.02)
+            series = {name: [] for name in counters}
+            for metric in fleet.registry.snapshot()["metrics"]:
+                if metric["name"] in counters:
+                    series[metric["name"]].append(metric.get("labels"))
+    assert series == {
+        name: [{"device": "device0"}, {"device": "device1"}] for name in counters
+    }
+
+
 # --------------------------------------------------------------------------- #
 # The acceptance scenario: 4 mixed devices behind one endpoint
 # --------------------------------------------------------------------------- #

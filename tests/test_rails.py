@@ -84,23 +84,24 @@ def test_scaled_rail():
 
 
 def test_split_rail_shares_power():
-    total = lambda t: np.full_like(t, 100.0)
-    rail = SplitRail(total, share=0.3, volts=12.0)
-    volts, amps = rail.sample_uniform(0.0, 1.0, 4)
-    assert np.allclose(volts * amps, 30.0)
+    rail = SplitRail(make_trace(), share=0.3, volts=12.0)  # 12, 24, 6 W
+    volts, amps = rail.sample_uniform(-0.5, 0.5, 7)
+    assert np.allclose(volts * amps, 0.3 * np.array([12, 12, 12, 24, 24, 6, 6]))
+    assert np.all(volts == 12.0)
+    assert [a.size for a in rail.sample_uniform(0.0, 1.0, 0)] == [0, 0]
 
 
 def test_split_rail_droop():
-    total = lambda t: np.full_like(t, 120.0)
-    rail = SplitRail(total, share=1.0, volts=12.0, droop_ohms=0.01)
-    volts, amps = rail.sample_uniform(0.0, 1.0, 1)
-    assert volts[0] < 12.0
-    assert volts[0] * amps[0] == pytest.approx(120.0)
+    trace = PowerTrace(times=[0.0, 1.0], volts=[12.0, 12.0], amps=[10.0, 5.0])
+    rail = SplitRail(trace, share=1.0, volts=12.0, droop_ohms=0.01)
+    volts, amps = rail.sample_uniform(0.0, 1.0, 2)
+    assert volts[0] < volts[1] < 12.0
+    assert volts * amps == pytest.approx([120.0, 60.0])
 
 
 def test_split_rail_share_bounds():
     with pytest.raises(MeasurementError):
-        SplitRail(lambda t: t, share=1.5, volts=12.0)
+        SplitRail(make_trace(), share=1.5, volts=12.0)
 
 
 def test_segment_rail_idle_and_segments():

@@ -2,9 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.rng import RngStream
-from repro.hardware.sensors import CurrentSensor, VoltageSensor
+from repro.hardware.adc import AdcTiming
+from repro.hardware.modules import SensorModule
+from repro.hardware.sensors import (
+    DRIFT_KNOT_SCANS,
+    CurrentSensor,
+    ExternalField,
+    VoltageSensor,
+)
+
+SCAN_S = AdcTiming().scan_time_s
+#: Scans in one 8192-sample pump (six per output sample).
+PUMP_SCANS = 6 * 8192
+#: 50 hours of scans, the span of the paper's stability run (Section IV-B).
+RUN_SCANS = int(50 * 3600 / SCAN_S)
 
 
 def make_current(noise=0.0, **kwargs) -> CurrentSensor:
@@ -69,6 +84,60 @@ def test_current_drift_bounded():
     times = np.linspace(0, 50 * 3600, 1000)
     drift = sensor._drift.offset_at(times)
     assert np.abs(drift).max() < 0.05  # well under 1 % of a 10 A range
+
+
+@pytest.mark.parametrize("key", ["pcie_slot_12v", "pcie8pin", "usbc"])
+def test_knot_drift_stays_within_1e_12_a_of_offset_at_over_a_50_hour_run(key):
+    drift = SensorModule.manufacture(key, RngStream(5, key)).current_sensor._drift
+    start = 2 * AdcTiming().conversion_time_s
+    # Windows spread over the run, starting off the knot grid.
+    for first in np.linspace(0, 2e10, 13).astype(np.int64) + 1234:
+        assert first + PUMP_SCANS <= RUN_SCANS
+        got = drift.offset_on_grid(start, SCAN_S, int(first), PUMP_SCANS)
+        want = drift.offset_at(start + SCAN_S * np.arange(first, first + PUMP_SCANS))
+        # The 10-bit LSB is 0.027 A on the most sensitive module.
+        assert np.abs(got - want).max() <= 1e-12, first
+        on_knots = (np.arange(first, first + PUMP_SCANS) % DRIFT_KNOT_SCANS) == 0
+        assert np.array_equal(got[on_knots], want[on_knots])
+
+
+@st.composite
+def scan_grid_splits(draw):
+    """A scan grid from ``first`` and cuts, some on or next to a drift knot."""
+    first = draw(st.integers(0, 2 * 10**10))
+    n = 3 * DRIFT_KNOT_SCANS + draw(st.integers(1, 500))
+    knots = np.arange(-first % DRIFT_KNOT_SCANS, n, DRIFT_KNOT_SCANS)
+    near_knots = st.builds(
+        lambda knot, delta: int(knot) + delta, st.sampled_from(knots), st.integers(-1, 1)
+    )
+    cuts = draw(st.lists(st.one_of(st.integers(1, n - 1), near_knots), max_size=8))
+    return first, n, sorted({0, n, *(c for c in cuts if 0 < c < n)})
+
+
+def hall_sensor(field: bool) -> CurrentSensor:
+    return CurrentSensor(
+        0.12,
+        0.115,
+        RngStream(7, "hall"),
+        offset_a=0.05,
+        nonlinearity=1e-5,
+        external_field=ExternalField(0.5, 0.2) if field else None,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(split=scan_grid_splits(), field=st.booleans())
+def test_any_split_of_a_scan_grid_transduces_identically(split, field):
+    first, n, edges = split
+    currents = np.random.default_rng(first % 1000).uniform(-5.0, 20.0, n)
+    start = 3 * AdcTiming().conversion_time_s
+    whole = hall_sensor(field).transduce_uniform(currents, start, SCAN_S, first)
+    sensor = hall_sensor(field)
+    pieces = [
+        sensor.transduce_uniform(currents[lo:hi], start, SCAN_S, first + lo)
+        for lo, hi in zip(edges, edges[1:])
+    ]
+    assert np.concatenate(pieces).tobytes() == whole.tobytes()
 
 
 def test_current_rejects_bad_sensitivity():

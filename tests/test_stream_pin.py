@@ -1,0 +1,68 @@
+"""Wire-byte pin: a calibrated four-module bench's stream, byte for byte.
+
+``data/stream_pin.json`` holds SHA-256 digests of the raw wire bytes of a
+calibrated ``pcie_slot_12v, pcie8pin, pcie_slot_3v3, usbc`` bench on
+:mod:`tests.test_determinism`'s GPU feeds and square-wave load, read in
+uneven chunks, for seeds 0 and 1.  It also holds the digest of
+``Baseboard.averaged_codes`` 50 hours into a stream, where scan indices
+pass 2e10.  The digests were generated from the tree before the Hall
+drift moved onto index-aligned knots, the firmware average onto slice
+sums and the GPU feeds onto per-trace-point arithmetic; a mismatch means
+device simulation changed a wire byte.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.core.setup import SimulatedSetup
+from tests.test_determinism import MODULES, rails
+
+PIN = json.loads((Path(__file__).parent / "data" / "stream_pin.json").read_text())
+
+#: Read sizes, summing to 65,536 samples: odd sizes, single samples and
+#: reads that straddle the 4096-scan drift knots.
+CHUNKS = (1, 999, 8192, 4097, 777, 12288, 5, 8191, 30986)
+#: 50 hours at 20 kHz, the span of the paper's stability run (Section IV-B).
+LATE_FIRST = 3_600_000_000
+LATE_SAMPLES = 4096
+
+
+def bench(seed: int, calibrate: bool) -> SimulatedSetup:
+    setup = SimulatedSetup(MODULES, seed=seed, calibrate=calibrate, calibration_samples=4096)
+    for slot, rail in enumerate(rails()):
+        setup.connect(slot, rail)
+    return setup
+
+
+def stream_digest(seed: int) -> str:
+    """SHA-256 of the wire bytes of 65,536 samples read in :data:`CHUNKS`."""
+    digest = hashlib.sha256()
+    with bench(seed, calibrate=True) as setup:
+        setup.source.start()
+        for n in CHUNKS:
+            _, raw = setup.source.read_block_raw(n)
+            digest.update(raw)
+    return digest.hexdigest()
+
+
+def late_codes_digest(seed: int) -> str:
+    """SHA-256 of ``averaged_codes`` for 4,096 samples from :data:`LATE_FIRST`."""
+    with bench(seed, calibrate=False) as setup:
+        codes = setup.baseboard.averaged_codes(0.0, LATE_SAMPLES, first=LATE_FIRST)
+    return hashlib.sha256(codes.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_wire_bytes_match_the_pin(seed):
+    assert sum(CHUNKS) == PIN["samples"]
+    assert stream_digest(seed) == PIN["stream"][str(seed)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_averaged_codes_late_in_a_long_run_match_the_pin(seed):
+    assert late_codes_digest(seed) == PIN["averaged_codes"][str(seed)]

@@ -1,9 +1,11 @@
 """Trace-backed rails: block-local lookup and single-pass GPU render.
 
 ``PowerTrace.hold_index`` searches only the slice of the trace a query
-block spans, and ``Gpu.render`` writes each point once.  Both must give
-exactly what the whole-trace forms they replaced gave, which are kept
-here as the reference oracles, down to the wire bytes the firmware emits.
+block spans, ``Gpu.render`` writes each point once, and a GPU feed
+(``SplitRail``) runs its arithmetic once per trace point a block spans.
+All must give exactly what the whole-trace, per-scan forms they replaced
+gave, which are kept here as the reference oracles, down to the wire
+bytes the firmware emits.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import MeasurementError
 from repro.common.rng import RngStream
-from repro.dut.base import PowerTrace, TraceRail
+from repro.dut.base import PowerTrace, SplitRail, TraceRail
 from repro.dut.gpu import GPU_CATALOG, Gpu, KernelLaunch
 from repro.dut.jetson import JetsonAgxOrin
 from repro.firmware.device import Firmware
@@ -39,6 +41,24 @@ class ReferenceTraceRail:
         times = start - self.offset + dt * np.arange(first, first + n)
         idx = reference_hold_index(self.trace, times)
         return self.trace.volts[idx].copy(), self.trace.amps[idx].copy()
+
+
+class ReferenceSplitRail:
+    """``SplitRail`` on the whole-trace lookup, with the feed arithmetic per scan."""
+
+    def __init__(self, rail: SplitRail) -> None:
+        self.rail = rail
+
+    def sample_uniform(self, start: float, dt: float, n: int, first: int = 0):
+        rail = self.rail
+        times = start + dt * np.arange(first, first + n)
+        watts = rail.trace.watts[reference_hold_index(rail.trace, times)] * rail.share
+        volts = np.full(n, rail.nominal_volts)
+        if rail.droop_ohms > 0.0:
+            amps0 = watts / volts
+            volts = volts - rail.droop_ohms * amps0
+            volts = np.maximum(volts, 0.5 * rail.nominal_volts)
+        return volts, watts / volts
 
 
 def reference_render(gpu: Gpu, t_end: float, dt: float) -> PowerTrace:
@@ -200,13 +220,9 @@ def test_pcie_rails_produce_reference_bytes(seed, dt):
     gpu = Gpu("rtx4000ada", RngStream(seed, "gpu"))
     for start, duration in ((0.02, 0.15), (0.1, 0.05), (0.25, 0.3)):
         gpu.launch(KernelLaunch(start=start, duration=duration, n_waves=3))
-    trace = gpu.render(0.4, dt)
-    rails = gpu.rails(trace)
-    reference = gpu.rails(trace)
-    for rail in reference.values():
-        rail.total_watts_fn = lambda times: trace.watts[reference_hold_index(trace, times)]
+    rails = gpu.rails(gpu.render(0.4, dt))
     got = produce_blocks(modules, [rails[f] for f in feeds], seed)
-    want = produce_blocks(modules, [reference[f] for f in feeds], seed)
+    want = produce_blocks(modules, [ReferenceSplitRail(rails[f]) for f in feeds], seed)
     assert got == want
 
 
