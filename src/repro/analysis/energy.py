@@ -122,6 +122,30 @@ class TraceFeatures:
     n_dips: int  # transient dips below 90 % of steady during activity
 
 
+def running_median(values: np.ndarray, size: int) -> np.ndarray:
+    """Median of the odd ``size`` samples centred on each sample.
+
+    The trace is padded by repeating its end samples, so every window is
+    full.  The window is odd, so each median is one of the inputs.  The
+    windows are strided views, partitioned a block of rows at a time to
+    bound the memory to ~8 MB.
+    """
+    if size < 1 or size % 2 == 0:
+        raise MeasurementError(f"median window must be odd and positive, got {size}")
+    values = np.asarray(values, dtype=float)
+    out = np.empty(values.size)
+    if not values.size:
+        return out
+    half = size // 2
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(values, half, mode="edge"), size
+    )
+    rows = max(1, (1 << 20) // size)
+    for lo in range(0, values.size, rows):
+        out[lo : lo + rows] = np.partition(windows[lo : lo + rows], half, axis=1)[:, half]
+    return out
+
+
 def extract_features(
     times: np.ndarray,
     watts: np.ndarray,
@@ -164,10 +188,8 @@ def extract_features(
     # hysteresis band well above the sensor noise.  The last 50 ms are
     # excluded so the workload's falling edge is not miscounted.
     dt_sample = float(np.median(np.diff(t_win))) if t_win.size > 1 else 1.0
-    from scipy.ndimage import median_filter
-
     size = max(int(0.031 / dt_sample) | 1, 3)
-    baseline = median_filter(p_win, size=size, mode="nearest")
+    baseline = running_median(p_win, size)
     detrended = p_win - baseline
     trimmed = detrended[t_win <= window.stop - 0.05]
     n_dips = count_dips(

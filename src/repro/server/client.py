@@ -635,6 +635,7 @@ class RemoteSetup:
                     _models,
                     seed=fault_seed,
                     registry=self.registry,
+                    device=device,
                 )
 
         self.link = RemoteLink(

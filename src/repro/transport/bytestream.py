@@ -90,7 +90,8 @@ class FaultyByteStream(ByteStream, FaultChain):
     applies.  When every installed model conspires to turn a non-empty
     chunk into ``b""`` (a stall, or a drop of the whole chunk), the
     stream re-reads instead of reporting EOF: on a socket, silence is
-    loss, not closure.
+    loss, not closure.  ``device`` labels the ``faults_injected_total``
+    counters, as it does on the serial link.
     """
 
     def __init__(
@@ -99,8 +100,9 @@ class FaultyByteStream(ByteStream, FaultChain):
         models: list[FaultModel] | None = None,
         seed: int = 0,
         registry: MetricsRegistry | None = None,
+        device: str | None = None,
     ) -> None:
-        FaultChain.__init__(self, models, seed=seed, registry=registry)
+        FaultChain.__init__(self, models, seed=seed, registry=registry, device=device)
         self.stream = stream
 
     def read(self, n: int) -> bytes:

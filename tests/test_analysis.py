@@ -15,6 +15,7 @@ from repro.analysis.energy import (
     count_dips,
     detect_activity,
     integrate_energy,
+    running_median,
 )
 from repro.analysis.pareto import dominates, hypervolume_2d, pareto_front
 from repro.analysis.stability import StabilityPoint, stability_statistics
@@ -206,6 +207,24 @@ def test_count_dips_max_length():
 def test_count_dips_band_validation():
     with pytest.raises(MeasurementError):
         count_dips(np.zeros(3), 5.0, 4.0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 40, 4000])
+@pytest.mark.parametrize("size", [1, 3, 7, 31, 621])
+def test_running_median_matches_brute_force(n, size):
+    # Edge-padded odd windows, one np.median each; rounded values give
+    # ties.  4000 samples of the 621 window span several partition blocks.
+    values = np.random.default_rng(n + size).normal(size=n).round(1)
+    half = size // 2
+    padded = np.concatenate([values[:1].repeat(half), values, values[-1:].repeat(half)])
+    want = [np.median(padded[i : i + size]) for i in range(n)]
+    np.testing.assert_array_equal(running_median(values, size), want)
+
+
+def test_running_median_needs_an_odd_window():
+    for size in (0, 2, -3):
+        with pytest.raises(MeasurementError):
+            running_median(np.zeros(5), size)
 
 
 # --------------------------------------------------------------------- #
