@@ -3,15 +3,16 @@
 Every module in :mod:`repro.experiments` registers an :class:`Experiment`
 at import time: a stable name, the report section title, the runner
 callable, and a typed parameter schema carrying both the bench-scale
-defaults and the paper-scale (``full``) overrides.  The reproduce-all
-report, the pytest-benchmark drivers and the campaign planner are all
-generated from this table instead of hand-wired lists.
+defaults and the paper-scale (``full``) overrides.  The schema is the
+only place an experiment's scale is set: the reproduce-all report, the
+campaign planner and each module's ``main()`` are generated from this
+table, and the tier-1 tests run every experiment at its defaults.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from typing import Any
 
 from repro.common.errors import ConfigurationError
@@ -84,8 +85,6 @@ class Experiment:
         runner: callable returning an :class:`ExperimentResult`; called
             with the resolved parameter dict as keyword arguments.
         params: the typed parameter schema plans may sweep.
-        bench: benchmark-scaled overrides for the pytest-benchmark
-            driver (free-form kwargs, not restricted to ``params``).
         report_index: position in the reproduce-all report, or ``None``
             for experiments the report does not include.
         accepts_registry: the runner takes a ``registry=`` keyword and
@@ -99,7 +98,6 @@ class Experiment:
     section: str
     runner: Callable[..., ExperimentResult]
     params: tuple[Param, ...] = ()
-    bench: Mapping[str, Any] = field(default_factory=dict)
     report_index: int | None = None
     accepts_registry: bool = False
     series: bool = False
@@ -132,7 +130,6 @@ def register(
     section: str,
     runner: Callable[..., ExperimentResult],
     params: tuple[Param, ...] = (),
-    bench: Mapping[str, Any] | None = None,
     report_index: int | None = None,
     accepts_registry: bool = False,
     series: bool = False,
@@ -150,7 +147,6 @@ def register(
         section=section,
         runner=runner,
         params=tuple(params),
-        bench=dict(bench or {}),
         report_index=report_index,
         accepts_registry=accepts_registry,
         series=series,
@@ -201,6 +197,23 @@ def names() -> list[str]:
 def experiments() -> list[Experiment]:
     load_all()
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]
+
+
+def print_paper_scale(*names: str) -> None:
+    """Run the named experiments at paper scale and print their tables.
+
+    Every experiment module's ``main()`` is this call on the experiments
+    it registers, so ``python -m repro.experiments.<module>`` runs what
+    the report's ``--full`` runs.
+    """
+    for index, name in enumerate(names):
+        if index:
+            print()
+        # Not get(): under ``python -m`` the calling module is __main__,
+        # and load_all() would import it again under its package name and
+        # register its experiments a second time.
+        experiment = _REGISTRY[name]
+        experiment.runner(**experiment.scaled_args(True)).print()
 
 
 def report_experiments() -> list[Experiment]:

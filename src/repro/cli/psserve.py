@@ -22,7 +22,6 @@ from repro.cli.common import (
     report_health,
     run_with_diagnostics,
 )
-from repro.common.errors import ConfigurationError
 from repro.observability import MetricsRegistry, Tracer
 from repro.server.daemon import DEFAULT_CHUNK, PowerSensorServer
 from repro.server.ring import POLICIES
@@ -138,11 +137,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _serve(args: argparse.Namespace, registry: MetricsRegistry, tracer: Tracer) -> int:
-    if args.direct and not getattr(args, "devices", None):
-        raise ConfigurationError(
-            "psserve relays the device's wire bytes; it needs the "
-            "byte-accurate protocol path (drop --direct)"
-        )
     with build_fleet(args, registry, tracer) as fleet:
         server = PowerSensorServer(
             fleet.sources(),

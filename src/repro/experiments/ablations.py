@@ -86,7 +86,7 @@ def _measure_sigma(board: Baseboard, configs, amps: float, n: int = 32 * 1024) -
     return float((values[:, 0] * values[:, 1]).std())
 
 
-def noise_bandwidth_study(seed: int = 30) -> ExperimentResult:
+def noise_bandwidth_study(seed: int) -> ExperimentResult:
     """Correlated vs white transducer noise against the Table II floor."""
     result = ExperimentResult(name="Ablation: transducer noise correlation")
     for label, bandwidth in [
@@ -112,7 +112,7 @@ def noise_bandwidth_study(seed: int = 30) -> ExperimentResult:
     return result
 
 
-def sampling_rate_study(seed: int = 31) -> ExperimentResult:
+def sampling_rate_study(seed: int) -> ExperimentResult:
     """Why average six scans: USB bandwidth vs noise vs time resolution."""
     result = ExperimentResult(name="Ablation: firmware averaging factor")
     for averages in (1, 2, 3, 6, 12, 24):
@@ -138,7 +138,7 @@ def sampling_rate_study(seed: int = 31) -> ExperimentResult:
     return result
 
 
-def remote_sense_study(seed: int = 32) -> ExperimentResult:
+def remote_sense_study(seed: int) -> ExperimentResult:
     """Voltage sensing at the DUT vs at the module's input port."""
     result = ExperimentResult(name="Ablation: remote sense connector")
     amps, volts, cable_ohms = 8.0, 12.0, 0.05
@@ -166,7 +166,7 @@ def remote_sense_study(seed: int = 32) -> ExperimentResult:
     return result
 
 
-def ps2_comparison_study(seed: int = 33) -> ExperimentResult:
+def ps2_comparison_study(seed: int) -> ExperimentResult:
     """PowerSensor3's improvement list over PowerSensor2, quantified."""
     result = ExperimentResult(name="Ablation: PowerSensor3 vs PowerSensor2")
 
@@ -246,7 +246,7 @@ def ps2_comparison_study(seed: int = 33) -> ExperimentResult:
     return result
 
 
-def gc_hysteresis_study(seed: int = 34) -> ExperimentResult:
+def gc_hysteresis_study(seed: int) -> ExperimentResult:
     """GC watermark hysteresis vs continuous trickle collection."""
     result = ExperimentResult(name="Ablation: SSD GC hysteresis")
     for label, low, high in [
@@ -283,7 +283,7 @@ def gc_hysteresis_study(seed: int = 34) -> ExperimentResult:
     return result
 
 
-def strategy_study(seed: int = 35, budget: int = 150) -> ExperimentResult:
+def strategy_study(seed: int, budget: int) -> ExperimentResult:
     """Search strategies over the 5120-point beamformer space."""
     from repro.tuner.kernels import BEAMFORMER_TARGETS, TensorCoreBeamformer
     from repro.tuner.kernels import beamformer_search_space
@@ -369,16 +369,7 @@ for _name, _section, _runner, _seed, _index in _ABLATION_STUDIES:
 
 
 def main() -> None:
-    for study in (
-        noise_bandwidth_study,
-        sampling_rate_study,
-        remote_sense_study,
-        ps2_comparison_study,
-        gc_hysteresis_study,
-        strategy_study,
-    ):
-        study().print()
-        print()
+    registry.print_paper_scale(*(name for name, *_ in _ABLATION_STUDIES))
 
 
 if __name__ == "__main__":

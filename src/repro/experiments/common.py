@@ -1,8 +1,8 @@
 """Experiment harness shared pieces.
 
-Every experiment module exposes ``run(...) -> ExperimentResult`` with
-bench-sized defaults and a ``full=True`` mode matching the paper's exact
-scale, plus a ``main()`` that prints the paper-style table.
+Every experiment module exposes ``run(...) -> ExperimentResult``, called
+with the parameters its registry schema resolves at bench or paper
+scale, plus a ``main()`` that prints the paper-style table at paper scale.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from repro.tuner.tuning import tune
 from repro.vendor.jetson_ina import JetsonPowerMonitor
 
 
-def run(seed: int = 8) -> ExperimentResult:
+def run(seed: int) -> ExperimentResult:
     result = ExperimentResult(name="Fig. 10: beamformer tuning (Jetson AGX Orin)")
     target = BEAMFORMER_TARGETS["jetson_orin_gpu"]
     kernel = TensorCoreBeamformer(target)
@@ -111,7 +111,7 @@ registry.register(
 
 
 def main() -> None:
-    run().print()
+    registry.print_paper_scale("fig10")
 
 
 if __name__ == "__main__":

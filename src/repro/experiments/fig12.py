@@ -31,20 +31,16 @@ from repro.storage.fio import FioJob
 from repro.storage.jobfile import measure_trace
 
 READ_SIZES = ("1k", "4k", "16k", "64k", "128k", "256k", "512k", "1m", "2m", "4m")
+#: The mapping policies the FTL comparison runs, in row order.
+COMPARED_POLICIES = ("page", "group", "compressed", "hybrid")
 
 
 def run(
-    logical_bytes: int = 2 * GIB,
-    read_runtime_s: float = 3.0,
-    write_runtime_s: float = 40.0,
-    seed: int = 9,
-    full: bool = False,
+    logical_bytes: int,
+    read_runtime_s: float,
+    write_runtime_s: float,
+    seed: int,
 ) -> ExperimentResult:
-    """``full=True`` runs the 8 GiB drive with longer workloads."""
-    if full:
-        logical_bytes = 8 * GIB
-        read_runtime_s = 10.0
-        write_runtime_s = 120.0
     result = ExperimentResult(name="Fig. 12: SSD power and bandwidth (fio)")
     ssd = Ssd(SsdSpec(logical_bytes=logical_bytes), seed=seed)
     engine = IoEngine(ssd, seed=seed)
@@ -142,10 +138,7 @@ def run(
 
 
 def run_ftl_comparison(
-    logical_bytes: int = GIB // 2,
-    write_runtime_s: float = 20.0,
-    seed: int = 9,
-    policies: tuple[str, ...] = ("page", "group", "compressed", "hybrid"),
+    logical_bytes: int, write_runtime_s: float, seed: int
 ) -> ExperimentResult:
     """Extended Fig. 12b: the write study swept across FTL policies.
 
@@ -159,7 +152,7 @@ def run_ftl_comparison(
     bit-identical while this sweep is free to evolve.
     """
     result = ExperimentResult(name="Fig. 12 (extended): energy per IO by FTL policy")
-    for policy in policies:
+    for policy in COMPARED_POLICIES:
         ssd = Ssd(SsdSpec(logical_bytes=logical_bytes), seed=seed, ftl=policy)
         engine = IoEngine(ssd, seed=seed)
         setup = SimulatedSetup(
@@ -219,7 +212,6 @@ registry.register(
         Param("write_runtime_s", "float", default=40.0, full=120.0),
         Param("seed", "int", default=9),
     ),
-    bench={"read_runtime_s": 1.0, "write_runtime_s": 30.0},
     report_index=9,
     series=True,
     help="SSD power/bandwidth under fio workloads",
@@ -234,14 +226,13 @@ registry.register(
         Param("write_runtime_s", "float", default=20.0),
         Param("seed", "int", default=9),
     ),
-    bench={"write_runtime_s": 10.0},
     series=True,
     help="energy per IO across the four FTL mapping policies",
 )
 
 
 def main() -> None:
-    run().print()
+    registry.print_paper_scale("fig12", "fig12_ftl")
 
 
 if __name__ == "__main__":

@@ -27,15 +27,8 @@ FIG4_SENSORS = (
 )
 
 
-def run(
-    n_samples: int = 16 * 1024,
-    step_a: float = 1.0,
-    seed: int = 3,
-    full: bool = False,
-) -> ExperimentResult:
-    """Sweep each sensor type; ``full=True`` uses the paper's 128 k samples."""
-    if full:
-        n_samples = 128 * 1024
+def run(n_samples: int, step_a: float, seed: int) -> ExperimentResult:
+    """Sweep each sensor type, ``n_samples`` per ``step_a`` current step."""
     result = ExperimentResult(name="Fig. 4: power error vs current sweep")
     for module_key, volts in FIG4_SENSORS:
         setup = SimulatedSetup(
@@ -89,7 +82,6 @@ registry.register(
         Param("step_a", "float", default=1.0),
         Param("seed", "int", default=3),
     ),
-    bench={"n_samples": 8 * 1024, "step_a": 2.0},
     report_index=2,
     series=True,
     help="power error vs current sweep for four sensor types",
@@ -97,7 +89,7 @@ registry.register(
 
 
 def main() -> None:
-    run(full=True).print()
+    registry.print_paper_scale("fig4")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ HIGH_AMPS = 8.0
 MODULATION_HZ = 100.0
 
 
-def run(cycles: int = 10, seed: int = 4) -> ExperimentResult:
+def run(cycles: int, seed: int) -> ExperimentResult:
     result = ExperimentResult(name="Fig. 5: step response (3.3 A -> 8 A at 100 Hz)")
     setup = SimulatedSetup(
         ["pcie_slot_12v"], seed=seed, direct=True, calibration_samples=64 * 1024
@@ -73,7 +73,6 @@ registry.register(
         Param("cycles", "int", default=10),
         Param("seed", "int", default=4),
     ),
-    bench={"cycles": 10},
     report_index=3,
     series=True,
     help="step response of the sensor at 20 kHz",
@@ -81,7 +80,7 @@ registry.register(
 
 
 def main() -> None:
-    run().print()
+    registry.print_paper_scale("fig5")
 
 
 if __name__ == "__main__":

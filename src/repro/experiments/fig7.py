@@ -54,7 +54,7 @@ def _measure_ps3(gpu: Gpu, trace, seed: int):
     return times, watts
 
 
-def run(gpu_key: str = "rtx4000ada", seed: int = 6, dt: float = 1e-4) -> ExperimentResult:
+def run(gpu_key: str, seed: int, dt: float) -> ExperimentResult:
     is_amd = gpu_key == "w7700"
     panel = "7b (AMD W7700)" if is_amd else "7a (NVIDIA RTX 4000 Ada)"
     result = ExperimentResult(name=f"Fig. {panel}: PS3 vs on-board sensor")
@@ -197,9 +197,7 @@ registry.register(
 
 
 def main() -> None:
-    run("rtx4000ada").print()
-    print()
-    run("w7700").print()
+    registry.print_paper_scale("fig7a", "fig7b")
 
 
 if __name__ == "__main__":

@@ -41,13 +41,9 @@ PAPER = {
 }
 
 
-def run(
-    target_key: str = "rtx4000ada",
-    seed: int = 7,
-    ps3_verify_points: int = 12,
-) -> ExperimentResult:
+def run(seed: int, ps3_verify_points: int) -> ExperimentResult:
     result = ExperimentResult(name="Fig. 8: beamformer tuning (RTX 4000 Ada)")
-    target = BEAMFORMER_TARGETS[target_key]
+    target = BEAMFORMER_TARGETS["rtx4000ada"]
     kernel = TensorCoreBeamformer(target)
     space = beamformer_search_space()
 
@@ -152,7 +148,6 @@ registry.register(
         Param("seed", "int", default=7),
         Param("ps3_verify_points", "int", default=12),
     ),
-    bench={"ps3_verify_points": 6},
     report_index=7,
     series=True,
     help="beamformer auto-tuning and the 3.25x tuning-time claim",
@@ -160,7 +155,7 @@ registry.register(
 
 
 def main() -> None:
-    run().print()
+    registry.print_paper_scale("fig8")
 
 
 if __name__ == "__main__":

@@ -23,19 +23,13 @@ from repro.campaign.registry import Param
 from repro.experiments.common import ExperimentResult
 
 LOAD_AMPS = 7.5
+#: One window every 15 minutes, as in the paper.
+WINDOW_INTERVAL_S = 900.0
 PAPER_MEAN_FLUCTUATION_W = 0.09
 
 
-def run(
-    hours: float = 50.0,
-    window_interval_s: float = 900.0,
-    window_samples: int = 16 * 1024,
-    seed: int = 5,
-    full: bool = False,
-) -> ExperimentResult:
-    """``full=True`` captures the paper's 128 k samples per window."""
-    if full:
-        window_samples = 128 * 1024
+def run(hours: float, window_samples: int, seed: int) -> ExperimentResult:
+    """Capture ``window_samples`` every 15 minutes for ``hours``."""
     result = ExperimentResult(name="Long-term stability (7.5 A, 50 h)")
     setup = SimulatedSetup(
         ["pcie8pin"], seed=seed, direct=True, calibration_samples=128 * 1024
@@ -44,7 +38,7 @@ def run(
     load.set_current(LOAD_AMPS)
     setup.connect(0, LoadedSupplyRail(LabSupply(12.0), load))
 
-    window_starts = np.arange(0.0, hours * 3600.0, window_interval_s)
+    window_starts = np.arange(0.0, hours * 3600.0, WINDOW_INTERVAL_S)
     points = []
     for start in window_starts:
         codes = setup.baseboard.averaged_codes(float(start), window_samples)
@@ -77,7 +71,7 @@ def run(
     )
     result.notes.append(
         f"{window_samples} samples per window, one window per "
-        f"{window_interval_s / 60:.0f} min over {hours:.0f} h"
+        f"{WINDOW_INTERVAL_S / 60:.0f} min over {hours:.0f} h"
     )
     return result
 
@@ -91,7 +85,6 @@ registry.register(
         Param("window_samples", "int", default=16 * 1024, full=128 * 1024),
         Param("seed", "int", default=5),
     ),
-    bench={"hours": 50.0, "window_samples": 8 * 1024},
     report_index=4,
     series=True,
     help="50-hour drift study (Section IV-B)",
@@ -99,7 +92,7 @@ registry.register(
 
 
 def main() -> None:
-    run(full=True).print()
+    registry.print_paper_scale("stability")
 
 
 if __name__ == "__main__":

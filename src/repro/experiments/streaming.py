@@ -33,13 +33,13 @@ FRAME_SAMPLES = 64
 
 
 def run(
-    fleet: int = 1,
-    faults: str = "none",
-    backpressure: str = "block",
-    samples_per_device: int = 4096,
-    ring_capacity: int = 16,
-    drain_every: int = 3,
-    seed: int = 20,
+    fleet: int,
+    faults: str,
+    backpressure: str,
+    samples_per_device: int,
+    ring_capacity: int,
+    drain_every: int,
+    seed: int,
     registry=None,
 ) -> ExperimentResult:
     """Stream ``samples_per_device`` per device through faults + fan-out.
@@ -187,7 +187,7 @@ registry.register(
 
 
 def main() -> None:
-    run().print()
+    registry.print_paper_scale("streaming")
 
 
 if __name__ == "__main__":

@@ -54,7 +54,7 @@ registry.register(
 
 
 def main() -> None:
-    run().print()
+    registry.print_paper_scale("table1")
 
 
 if __name__ == "__main__":

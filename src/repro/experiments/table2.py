@@ -17,19 +17,17 @@ from repro.experiments.common import ExperimentResult
 
 #: Paper Table II std column per rate (kHz -> W rms), identical for both loads.
 PAPER_STD = {20.0: 0.72, 10.0: 0.51, 5.0: 0.36, 1.0: 0.16, 0.5: 0.115}
+#: The paper's two constant loads [A].
+LOADS_A = (0.5, 1.0)
 
 
-def run(
-    loads_a: tuple[float, ...] = (0.5, 1.0),
-    n_samples: int = 128 * 1024,
-    seed: int = 2,
-) -> ExperimentResult:
+def run(n_samples: int, seed: int) -> ExperimentResult:
     result = ExperimentResult(name="Table II: error vs sampling rate (12 V / 10 A)")
     setup = SimulatedSetup(
         ["pcie_slot_12v"], seed=seed, direct=True, calibration_samples=128 * 1024
     )
     supply = LabSupply(12.0)
-    for load_amps in loads_a:
+    for load_amps in LOADS_A:
         load = ElectronicLoad()
         load.set_current(load_amps)
         setup.connect(0, LoadedSupplyRail(supply, load))
@@ -63,14 +61,13 @@ registry.register(
         Param("n_samples", "int", default=32 * 1024, full=128 * 1024),
         Param("seed", "int", default=2),
     ),
-    bench={"loads_a": (0.5, 1.0), "n_samples": 64 * 1024},
     report_index=1,
     help="noise vs effective sampling rate on a 12 V / 10 A sensor",
 )
 
 
 def main() -> None:
-    run().print()
+    registry.print_paper_scale("table2")
 
 
 if __name__ == "__main__":

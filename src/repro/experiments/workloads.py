@@ -25,15 +25,15 @@ MIB = 1 << 20
 
 
 def run(
-    rw: str = "randwrite",
-    bs: str = "4k",
-    iodepth: int = 1,
-    rwmixread: int = 50,
-    ftl: str = "page",
-    runtime_s: float = 2.0,
-    capacity_mib: int = 64,
-    precondition: float = 0.5,
-    seed: int = 21,
+    rw: str,
+    bs: str,
+    iodepth: int,
+    rwmixread: int,
+    ftl: str,
+    runtime_s: float,
+    capacity_mib: int,
+    precondition: float,
+    seed: int,
     registry=None,
 ) -> ExperimentResult:
     """Run one job cell; the job file text is generated, then reparsed.
@@ -115,7 +115,7 @@ registry.register(
 
 
 def main() -> None:
-    run().print()
+    registry.print_paper_scale("workload")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,23 @@
-"""Reproduce-all report tool (structure only; full runs live in benchmarks)."""
+"""Reproduce-all report tool and its one scale switch.
 
+Structure only: ``tests/test_experiments.py`` runs every experiment at
+the report's scale and asserts the paper's claims on the results.
+"""
+
+import dataclasses
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.campaign import registry
 from repro.experiments import table1
-from repro.experiments.report import _experiment_plan, render_markdown
+from repro.experiments.common import ExperimentResult
+from repro.experiments.report import _experiment_plan, render_markdown, report_plan
 
 
 def test_plan_covers_every_artifact():
@@ -23,9 +39,81 @@ def test_plan_covers_every_artifact():
 
 
 def test_plan_full_flag_changes_scale():
-    bench = dict(_experiment_plan(full=False))
-    paper = dict(_experiment_plan(full=True))
-    assert set(bench) == set(paper)
+    """Bench cells hold each Param's default; paper cells its full value."""
+    bench = report_plan(full=False)
+    paper = report_plan(full=True)
+    assert (bench.scale, paper.scale) == ("bench", "full")
+    assert [cell.label for cell in bench.cells] == [cell.label for cell in paper.cells]
+    scaled = []
+    for bench_cell, paper_cell in zip(bench.cells, paper.cells):
+        params = registry.get(bench_cell.experiment).params
+        assert set(bench_cell.params) == set(paper_cell.params) == {p.name for p in params}
+        for param in params:
+            assert bench_cell.params[param.name] == param.default
+            if param.full is registry._UNSET:
+                assert paper_cell.params[param.name] == param.default
+            else:
+                assert paper_cell.params[param.name] == param.full
+                scaled.append(f"{bench_cell.experiment}.{param.name}")
+    assert scaled == [
+        "table2.n_samples",
+        "fig4.n_samples",
+        "stability.window_samples",
+        "fig12.logical_bytes",
+        "fig12.read_runtime_s",
+        "fig12.write_runtime_s",
+    ]
+
+
+def _runner_module(experiment: registry.Experiment) -> str:
+    return getattr(experiment.runner, "func", experiment.runner).__module__
+
+
+#: Every experiment module (tests may register toy experiments of their own).
+MODULES = sorted(
+    {
+        module
+        for module in map(_runner_module, registry.experiments())
+        if module.startswith("repro.experiments.")
+    }
+)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_module_main_runs_its_experiments_at_paper_scale(module, monkeypatch, capsys):
+    """``python -m repro.experiments.<module>`` runs what ``--full`` runs."""
+    expected, calls = {}, {}
+    for experiment in registry.experiments():
+        if _runner_module(experiment) != module:
+            continue
+
+        def runner(_name=experiment.name, **kwargs):
+            calls[_name] = kwargs
+            return ExperimentResult(name=_name)
+
+        monkeypatch.setitem(
+            registry._REGISTRY,
+            experiment.name,
+            dataclasses.replace(experiment, runner=runner),
+        )
+        expected[experiment.name] = experiment.scaled_args(True)
+    importlib.import_module(module).main()
+    assert calls == expected
+    assert capsys.readouterr().out.count("(no rows)") == len(expected)
+
+
+def test_a_module_runs_as_a_script():
+    """Run as ``__main__``, a module's registrations do not collide."""
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.experiments.table1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("[Table I: worst-case module accuracy]")
 
 
 def test_render_markdown():
