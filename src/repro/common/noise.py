@@ -115,6 +115,8 @@ class OrnsteinUhlenbeckNoise:
         self._grid: tuple[float, float, int] | None = None
         # (rho**h * tile start, running prefix Q) of the tile it ended in.
         self._tile = (0.0, 0.0)
+        # (dt, rho, innovation sigma, tiles) of the last grid step.
+        self._step: tuple = (None, 1.0, 0.0, None)
 
     def reset(self) -> None:
         """Forget history; the next sample is drawn from the stationary law."""
@@ -155,15 +157,17 @@ class OrnsteinUhlenbeckNoise:
             self._last_time = last_time
             self._last_value = 0.0
             return np.zeros(n)
-        rho = math.exp(-dt / self.tau) if dt > 0 else 1.0
+        if dt != self._step[0]:
+            rho = math.exp(-dt / self.tau) if dt > 0 else 1.0
+            innovation = self._innovation_sigma(rho)
+            self._step = (dt, rho, innovation, noise_tiles(rho, innovation))
+        _, rho, innovation, tiles = self._step
         if self._last_time is None:
             x_rho = 0.0  # no history: draw from the stationary law
         elif continues:
             x_rho = rho
         else:
             x_rho = self._decay(start + dt * first - self._last_time)
-        innovation = self._innovation_sigma(rho)
-        tiles = noise_tiles(rho, innovation)
         if tiles is None:
             values = self._rng.generator.standard_normal(n)
             x0 = x_rho * self._last_value + values[0] * self._innovation_sigma(x_rho)
@@ -230,23 +234,30 @@ class OrnsteinUhlenbeckNoise:
         carried tile's when ``prefix``, its running sum, is given.
         """
         size, up, down, weights = tiles
-        stop = k0 + values.size
-        sums = values * weights[k0:stop]
+        n = values.size
+        stop = k0 + n
+        hi = size - k0
+        # The normals that start the later tiles, before they become sums.
+        shocks = values[hi::size].tolist() if hi < n else []
+        sums = values
+        sums *= weights[k0:stop]
         if prefix is None:
             sums[0] = 0.0
         else:
             sums[0] += prefix
-        ends = [*range(size - k0, values.size, size), values.size]
-        for lo, hi in zip([0, *ends], ends):
-            if lo:
-                # A tile starts from the previous one's last value.
-                end = float(up[size - 1] * sums[lo - 1])
-                b = float(down[0]) * (rho * end + float(values[lo]) * innovation)
+        lo, hi = 0, min(hi, n)
+        for z in [*shocks, None]:
             tile = sums[lo:hi]
             np.add.accumulate(tile, out=tile)
             self._tile = (b, float(tile[-1]))
             tile += b
-        np.multiply(sums, up[k0:stop], out=values)
+            if z is None:
+                break
+            # A tile starts from the previous one's last value.
+            end = float(up[size - 1] * sums[hi - 1])
+            b = float(down[0]) * (rho * end + z * innovation)
+            lo, hi = hi, min(hi + size, n)
+        sums *= up[k0:stop]
 
     def _rows(
         self,

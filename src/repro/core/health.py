@@ -28,7 +28,7 @@ of them.
 
 from __future__ import annotations
 
-from repro.observability.registry import MetricsRegistry
+from repro.observability.registry import Counter, MetricsRegistry
 
 #: StreamHealth field -> (registry counter name, help text).
 HEALTH_COUNTERS: dict[str, tuple[str, str]] = {
@@ -123,6 +123,14 @@ class StreamHealth:
         if counter is None:
             raise AttributeError(f"StreamHealth has no counter {name!r}")
         counter.inc(value - counter.value)  # raises if the counter would drop
+
+    def counter(self, field: str) -> Counter:
+        """The registry counter behind one field.
+
+        A hot path holds it and calls ``inc`` instead of going through
+        ``+=`` on the view, which reads and writes the field by name.
+        """
+        return self._counters[field]
 
     @property
     def degraded(self) -> bool:

@@ -165,36 +165,37 @@ class PowerSensor:
         n = len(block)
         if n == 0:
             return
+        times = block.times
         currents = block.values[:, 0::2]
         volts = block.values[:, 1::2]
         power = currents * volts  # (n, PAIRS)
+        interval = self.sample_interval
         if self._prev_time is None:
-            first_dt = self.sample_interval
+            first_dt = interval
         else:
-            first_dt = block.times[0] - self._prev_time
+            first_dt = times[0] - self._prev_time
         dts = np.empty(n)
         dts[0] = max(first_dt, 0.0)
-        if n > 1:
-            dts[1:] = np.diff(block.times)
+        np.subtract(times[1:], times[:-1], out=dts[1:])
         # Samples lost to faults show up as oversized inter-sample gaps;
         # integration bridges them, but the bridging is accounted for.
-        gaps = int(np.count_nonzero(dts > 1.5 * self.sample_interval))
+        gaps = int(np.count_nonzero(dts > 1.5 * interval))
         if gaps:
             self.health.gaps_bridged += gaps
         self._energy += power.T @ dts
-        self._last_current = currents[-1].copy()
-        self._last_voltage = volts[-1].copy()
-        self._prev_time = float(block.times[-1])
-        self._time = float(block.times[-1])
+        last = block.values[-1].copy()
+        self._last_current = last[0::2]
+        self._last_voltage = last[1::2]
+        self._prev_time = self._time = float(times[-1])
         self.samples_seen += n
 
-        marked = np.flatnonzero(block.markers)
-        for idx in marked:
-            char = self._marker_chars.popleft() if self._marker_chars else "M"
-            self._marker_count += 1
-            self.marker_log.append((float(block.times[idx]), char))
-            if self._dump is not None:
-                self._dump.write_marker(float(block.times[idx]), char)
+        if np.count_nonzero(block.markers):
+            for idx in np.flatnonzero(block.markers):
+                char = self._marker_chars.popleft() if self._marker_chars else "M"
+                self._marker_count += 1
+                self.marker_log.append((float(times[idx]), char))
+                if self._dump is not None:
+                    self._dump.write_marker(float(times[idx]), char)
 
         if self._dump is not None:
             pair_mask = self._enabled_pairs()

@@ -216,6 +216,9 @@ class ProtocolSampleSource(SampleSource):
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer(self.registry)
         self.health = StreamHealth(self.registry, device=device)
+        self._bytes_read = self.health.counter("bytes_read")
+        self._packets_decoded = self.health.counter("packets_decoded")
+        self._samples_decoded = self.health.counter("samples_decoded")
         labels = self._metric_labels()
         self._bytes_gauge = self.registry.gauge(
             "decode_last_block_bytes",
@@ -274,23 +277,34 @@ class ProtocolSampleSource(SampleSource):
         Recomputed whenever the configs change (connect, config write), so
         the per-block hot path never loops over config objects.
         """
-        self._enabled_mask, self._vref, self._slope = _conversion_arrays(self.configs)
-        self._enabled_idx = np.flatnonzero(self._enabled_mask)
+        enabled, vref, slope = _conversion_arrays(self.configs)
+        enabled.flags.writeable = False  # shared by every block until the next change
+        self._enabled_mask = enabled
+        self._enabled_idx = np.flatnonzero(enabled)
         self._n_enabled = int(self._enabled_idx.size)
+        # Every enabled sensor's 10-bit codes in physical units, one row of
+        # ADC_LEVELS per sensor: a block converts by one gather.
+        codes = np.arange(ADC_LEVELS, dtype=float)
+        table = (codes + 0.5) * ADC_LSB - vref[self._enabled_idx, None]
+        table /= slope[self._enabled_idx, None]
+        self._units = table.reshape(-1)
+        self._unit_rows = ADC_LEVELS * np.arange(self._n_enabled)
         # A clean sample set is [timestamp, enabled sensors in index order];
-        # one mask-and-compare against these templates proves a whole
-        # buffer well-formed (see _decode_template).  Sensor 0's marker bit
-        # is left free; every other data packet must have it clear (set
-        # would decode differently: timestamp for sensor 7, cleared-marker
-        # data for 1..6 — both handled by the generic path).
+        # one mask-and-compare of its little-endian packet words (first
+        # byte low, second byte high) against these templates proves a
+        # whole buffer well-formed (see _decode_template).  Every second
+        # byte has its flag bit clear.  Sensor 0's marker bit is left
+        # free; every other data packet must have it clear (set would
+        # decode differently: timestamp for sensor 7, cleared-marker data
+        # for 1..6 — both handled by the generic path).
         n_fields = 1 + self._n_enabled
-        self._tmpl_and = np.full(n_fields, 0xF8, dtype=np.uint8)
-        self._tmpl_val = np.empty(n_fields, dtype=np.uint8)
+        self._tmpl_mask = np.full(n_fields, 0x80F8, dtype=np.uint16)
+        self._tmpl_val = np.empty(n_fields, dtype=np.uint16)
         self._tmpl_val[0] = 0x80 | (TIMESTAMP_SENSOR << 4) | 0x08
         for field, sensor in enumerate(self._enabled_idx, start=1):
             self._tmpl_val[field] = 0x80 | (int(sensor) << 4)
             if sensor == 0:
-                self._tmpl_and[field] = 0xF0  # marker bit free on sensor 0
+                self._tmpl_mask[field] = 0x80F0  # marker bit free on sensor 0
         self._bytes_per_sample = 2 * n_fields
         self._sensor0_enabled = bool(self._n_enabled and self._enabled_idx[0] == 0)
 
@@ -332,7 +346,7 @@ class ProtocolSampleSource(SampleSource):
     # ------------------------------------------------------------------ #
 
     def _decode(self, data: bytes, n_expected: int) -> SampleBlock:
-        self.health.bytes_read += len(data)
+        self._bytes_read.inc(len(data))
         with self.tracer.span("decode", tier="template", **self._span_labels) as span:
             block = self._decode_template(data)
             if block is None:
@@ -355,21 +369,17 @@ class ProtocolSampleSource(SampleSource):
             times=np.zeros(0),
             values=np.zeros((0, SENSORS)),
             markers=np.zeros(0, dtype=bool),
-            enabled=self._enabled_mask.copy(),
+            enabled=self._enabled_mask,
         )
 
     def _convert(self, codes: np.ndarray) -> np.ndarray:
-        """Codes (n, 8) to physical units with the cached per-sensor arrays.
+        """The enabled sensors' codes ``(n, n_enabled)`` to physical units ``(n, 8)``.
 
-        In place on one buffer: fewer block-sized temporaries keep the
-        allocator from returning and re-faulting heap pages every block.
+        Each code is looked up in its sensor's row of the conversion
+        table; disabled sensors read zero.
         """
-        values = codes.astype(float)
-        values += 0.5
-        values *= ADC_LSB
-        values -= self._vref
-        values /= self._slope
-        values[:, ~self._enabled_mask] = 0.0
+        values = np.zeros((codes.shape[0], SENSORS))
+        values[:, self._enabled_idx] = self._units.take(codes + self._unit_rows)
         return values
 
     def _decode_template(self, data: bytes) -> SampleBlock | None:
@@ -390,36 +400,33 @@ class ProtocolSampleSource(SampleSource):
         size = len(data)
         if size == 0 or size % self._bytes_per_sample:
             return None
-        arr = np.frombuffer(data, dtype=np.uint8)
-        mat = arr.reshape(-1, 1 + self._n_enabled, 2)
-        firsts = mat[:, :, 0]
-        seconds = mat[:, :, 1]
-        if ((firsts & self._tmpl_and) != self._tmpl_val).any() or (seconds & 0x80).any():
+        words = np.frombuffer(data, dtype="<u2").reshape(-1, 1 + self._n_enabled)
+        if np.count_nonzero((words & self._tmpl_mask) != self._tmpl_val):
             return None
 
-        n_samples = mat.shape[0]
-        micros = ((firsts[:, 0] & 0x07).astype(np.int64) << 7) | seconds[:, 0]
-        times = self._unwrapper.update_block(micros)
-        codes = np.zeros((n_samples, SENSORS), dtype=np.int64)
-        codes[:, self._enabled_idx] = ((firsts[:, 1:] & 0x07).astype(np.int64) << 7) | seconds[
-            :, 1:
-        ]
+        # A packet's value is the first byte's low three bits, then the
+        # second byte's seven (its flag bit is clear).
+        values = words & 0x07
+        values <<= 7
+        values |= words >> 8
+        n_samples = words.shape[0]
+        times = self._unwrapper.update_block(values[:, 0])
         if self._sensor0_enabled:
-            markers = (firsts[:, 1] & 0x08) != 0
+            markers = (words[:, 1] & 0x08) != 0
         else:
             markers = np.zeros(n_samples, dtype=bool)
 
         packets = n_samples * (1 + self._n_enabled)
         self._decoder.packet_count += packets
-        self.health.packets_decoded += packets
-        self.health.samples_decoded += n_samples
+        self._packets_decoded.inc(packets)
+        self._samples_decoded.inc(n_samples)
         self._have_timestamp = True
         self._current_time = float(times[-1])
         return SampleBlock(
             times=times,
-            values=self._convert(codes),
+            values=self._convert(values[:, 1:]),
             markers=markers,
-            enabled=self._enabled_mask.copy(),
+            enabled=self._enabled_mask,
         )
 
     def _decode_generic(self, data: bytes) -> SampleBlock:
@@ -434,9 +441,9 @@ class ProtocolSampleSource(SampleSource):
             return self._empty_block()
         return SampleBlock(
             times=times,
-            values=self._convert(codes),
+            values=self._convert(codes[:, self._enabled_idx]),
             markers=markers,
-            enabled=self._enabled_mask.copy(),
+            enabled=self._enabled_mask,
         )
 
     def _group_samples(

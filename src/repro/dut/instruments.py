@@ -28,9 +28,8 @@ class LabSupply:
     def voltage_under_load(self, amps: np.ndarray) -> np.ndarray:
         if not self.enabled:
             return np.zeros_like(np.asarray(amps, dtype=float))
-        return self.setpoint_volts - self.source_impedance_ohms * np.asarray(
-            amps, dtype=float
-        )
+        drop = np.multiply(self.source_impedance_ohms, amps, dtype=float)
+        return np.subtract(self.setpoint_volts, drop, out=drop)
 
 
 @dataclass
@@ -52,12 +51,14 @@ class ElectronicLoad:
             raise MeasurementError("slew rate must be positive")
         self.slew_a_per_s = slew_a_per_us * 1e6
         self._steps: list[_Step] = [_Step(0.0, 0.0)]
+        self._breakpoint_arrays: tuple[np.ndarray, np.ndarray] | None = None
 
     def set_current(self, amps: float, at_time: float = 0.0) -> None:
         """Schedule a setpoint change (times must be scheduled in order)."""
         if self._steps and at_time < self._steps[-1].time:
             raise MeasurementError("load steps must be scheduled in time order")
         self._steps.append(_Step(float(at_time), float(amps)))
+        self._breakpoint_arrays = None
 
     def program_square(
         self,
@@ -74,7 +75,19 @@ class ElectronicLoad:
             self.set_current(low_amps, start + (k + 0.5) * period)
 
     def _breakpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Piecewise-linear (time, current) breakpoints with slew ramps."""
+        """Piecewise-linear (time, current) breakpoints with slew ramps.
+
+        Built once per schedule: :meth:`set_current`, the only change to
+        it, drops them.  The arrays are shared, so they are read-only.
+        """
+        if self._breakpoint_arrays is None:
+            times, amps = self._ramps()
+            times.flags.writeable = amps.flags.writeable = False
+            self._breakpoint_arrays = (times, amps)
+        return self._breakpoint_arrays
+
+    def _ramps(self) -> tuple[np.ndarray, np.ndarray]:
+        """The breakpoints, from the step schedule."""
         times = [self._steps[0].time]
         amps = [self._steps[0].amps]
         for step in self._steps[1:]:
@@ -102,7 +115,8 @@ class LoadedSupplyRail:
         self.load = load
 
     def sample_uniform(self, start: float, dt: float, n: int, first: int = 0):
-        times = start + dt * np.arange(first, first + n)
+        times = np.arange(first, first + n) * dt
+        times += start
         amps = self.load.current_at(times)
         volts = self.supply.voltage_under_load(amps)
         return volts, amps

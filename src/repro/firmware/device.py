@@ -85,7 +85,7 @@ class Firmware:
     @eeprom.setter
     def eeprom(self, value: VirtualEeprom) -> None:
         self._eeprom = value
-        self._sensor_cache: tuple[int, list[int]] | None = None
+        self._sensor_cache: tuple[int, list[int], np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------ #
     # Host -> device                                                     #
@@ -152,17 +152,36 @@ class Firmware:
     # ------------------------------------------------------------------ #
 
     def enabled_sensors(self) -> list[int]:
-        # Cached: recomputing from the EEPROM on every produce() call costs
-        # more than producing a small sample batch.  The cache is keyed on
-        # the EEPROM write generation and dropped whenever the EEPROM
-        # object itself is replaced (WRITE_CONFIG) or the device reboots.
         # The returned list is shared — treat it as read-only.
+        return self._packet_layout()[0]
+
+    def _packet_layout(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """The enabled sensors, their code columns and the packet headers.
+
+        A sample set is a timestamp packet and one packet per enabled
+        sensor, in index order; ``headers`` holds each packet's fixed
+        first-byte bits.  Cached: recomputing from the EEPROM on every
+        produce() call costs more than producing a small sample batch.
+        The cache is keyed on the EEPROM write generation and dropped
+        whenever the EEPROM object itself is replaced (WRITE_CONFIG) or
+        the device reboots.
+        """
         eeprom = self._eeprom
         cache = self._sensor_cache
         if cache is None or cache[0] != eeprom.generation:
             sensors = [i for i in range(SENSORS) if eeprom.configs[i].enabled]
-            self._sensor_cache = cache = (eeprom.generation, sensors)
-        return cache[1]
+            headers = np.array(
+                [0x80 | (TIMESTAMP_SENSOR << 4) | 0x08]
+                + [0x80 | (sensor << 4) for sensor in sensors],
+                dtype=np.uint16,
+            )
+            self._sensor_cache = cache = (
+                eeprom.generation,
+                sensors,
+                np.array(sensors, dtype=np.intp),
+                headers,
+            )
+        return cache[1:]
 
     def bytes_per_sample(self) -> int:
         return 2 + 2 * len(self.enabled_sensors())  # timestamp + sensor packets
@@ -198,22 +217,31 @@ class Firmware:
         # bytes do not depend on how the stream is split into produce calls.
         origin, first = self.clock.origin, self.clock.ticks
         codes = self.baseboard.averaged_codes(origin, n_samples, first)
-        sensors = self.enabled_sensors()
-        n_fields = 1 + len(sensors)  # timestamp + per-sensor packets
-        packets = np.zeros((n_samples, n_fields, 2), dtype=np.uint8)
+        sensors, columns, headers = self._packet_layout()
 
         # Timestamp packets: generated after processing 3 of the 6 scans.
-        ts_times = origin + np.arange(first, first + n_samples) * timing.output_interval_s
-        ts_times = ts_times + 3 * timing.scan_time_s
-        micros = np.round(ts_times * 1e6).astype(np.int64) % TIMESTAMP_WRAP_US
-        packets[:, 0, 0] = 0x80 | (TIMESTAMP_SENSOR << 4) | 0x08 | (micros >> 7)
-        packets[:, 0, 1] = micros & 0x7F
+        ts_times = np.arange(first, first + n_samples) * timing.output_interval_s
+        ts_times += origin
+        ts_times += 3 * timing.scan_time_s
+        ts_times *= 1e6
+        micros = np.rint(ts_times, out=ts_times).astype(np.int64)
+        micros %= TIMESTAMP_WRAP_US
 
-        marker_flags = np.zeros(n_samples, dtype=np.uint8)
+        # Every packet at once, as the little-endian word of its two bytes:
+        # byte 0 (header | value >> 7) low, byte 1 (value & 0x7F) high.
+        values = np.empty((n_samples, len(headers)), dtype=np.uint16)
+        values[:, 0] = micros
+        values[:, 1:] = codes[:, columns]
+        words = values >> 7
+        values &= 0x7F
+        values <<= 8
+        words |= values
+        words |= headers
+
         n_mark = min(self._markers_pending, n_samples)
         if n_mark:
             if 0 in sensors:
-                marker_flags[:n_mark] = 1
+                words[:n_mark, 1] |= 0x08  # sensor 0's marker bit
             else:
                 # The marker bit only exists in sensor 0's packets; with
                 # sensor 0 disabled the marker cannot be attached to the
@@ -222,18 +250,12 @@ class Firmware:
                 self.markers_dropped += n_mark
             self._markers_pending -= n_mark
 
-        for field, sensor in enumerate(sensors, start=1):
-            values = codes[:, sensor].astype(np.int64)
-            byte0 = 0x80 | (sensor << 4) | (values >> 7)
-            if sensor == 0:
-                byte0 = byte0 | (marker_flags << 3)
-            packets[:, field, 0] = byte0
-            packets[:, field, 1] = values & 0x7F
-
         self.clock.tick(n_samples)
         self.samples_produced += n_samples
-        out = self.flush_responses() + packets.tobytes()
-        return out
+        data = words.astype("<u2", copy=False).tobytes()
+        if self._tx:
+            data = self.flush_responses() + data
+        return data
 
     def flush_responses(self) -> bytes:
         """Drain queued command responses (config image, version string)."""

@@ -268,19 +268,24 @@ class TimestampUnwrapper:
 
         Returns the continuous seconds per timestamp; the unwrapper state
         afterwards is identical to feeding the batch through
-        :meth:`update` one value at a time.
+        :meth:`update` one value at a time.  The values are decoded
+        timestamp packets, 10-bit by construction, so unlike
+        :meth:`update` it does not check their range.
         """
         raw = np.asarray(raw_micros, dtype=np.int64)
-        if raw.size == 0:
+        n = raw.size
+        if n == 0:
             return np.zeros(0)
-        if raw.min() < 0 or raw.max() >= TIMESTAMP_WRAP_US:
-            raise ProtocolError("raw timestamp out of 10-bit range")
-        if self._last_raw is None:
-            deltas = np.diff(raw) % TIMESTAMP_WRAP_US
-            accumulated = raw[0] + np.concatenate(([0], np.cumsum(deltas)))
-        else:
-            deltas = np.diff(np.concatenate(([self._last_raw], raw))) % TIMESTAMP_WRAP_US
-            accumulated = self._accumulated_us + np.cumsum(deltas)
+        # Each step is the forward distance from the previous counter
+        # value, mod the wrap (a power of two).  A fresh unwrapper has a
+        # total of 0 and takes its first value as the first step.
+        last = 0 if self._last_raw is None else self._last_raw
+        steps = np.empty(n, dtype=np.int64)
+        np.subtract(raw[1:], raw[:-1], out=steps[1:])
+        steps[0] = raw[0] - last
+        steps &= TIMESTAMP_WRAP_US - 1
+        steps[0] += self._accumulated_us
+        accumulated = np.add.accumulate(steps, out=steps)
         self._last_raw = int(raw[-1])
         self._accumulated_us = int(accumulated[-1])
         return accumulated * 1e-6

@@ -11,13 +11,18 @@ consecutive scans are averaged by the CPU, yielding a 50 us output interval
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class AdcTiming:
-    """Scan timing derived from the ADC configuration."""
+    """Scan timing derived from the ADC configuration.
+
+    The derived times are computed once per instance: a read asks for
+    them many times, and they depend only on the frozen fields.
+    """
 
     clock_hz: float = 24e6
     sampling_cycles: int = 15
@@ -25,26 +30,26 @@ class AdcTiming:
     channels: int = 8
     averages: int = 6
 
-    @property
+    @cached_property
     def cycles_per_conversion(self) -> int:
         # Each bit costs one clock cycle to convert, on top of sampling.
         return self.sampling_cycles + self.resolution_bits
 
-    @property
+    @cached_property
     def conversion_time_s(self) -> float:
         return self.cycles_per_conversion / self.clock_hz
 
-    @property
+    @cached_property
     def scan_time_s(self) -> float:
         """Time to read all channels once."""
         return self.channels * self.conversion_time_s
 
-    @property
+    @cached_property
     def output_interval_s(self) -> float:
         """Time per averaged output sample (50 us at default settings)."""
         return self.scan_time_s * self.averages
 
-    @property
+    @cached_property
     def output_rate_hz(self) -> float:
         return 1.0 / self.output_interval_s
 
@@ -60,16 +65,18 @@ class Adc:
         self.bits = int(bits)
         self.vref = float(vref)
         self.levels = 1 << self.bits
-
-    @property
-    def lsb(self) -> float:
-        return self.vref / self.levels
+        self.lsb = self.vref / self.levels
 
     def quantize(self, volts: np.ndarray) -> np.ndarray:
-        """Convert analog voltages to integer codes in [0, levels-1]."""
-        volts = np.asarray(volts, dtype=float)
-        codes = np.floor(volts / self.lsb).astype(np.int64)
-        return np.clip(codes, 0, self.levels - 1)
+        """Convert analog voltages to integer codes in [0, levels-1].
+
+        The codes are clamped in place: ``np.clip`` on integers builds
+        the dtype's limits in Python on every call.
+        """
+        steps = np.asarray(volts, dtype=float) / self.lsb
+        codes = np.floor(steps, out=steps).astype(np.int64)
+        np.maximum(codes, 0, out=codes)
+        return np.minimum(codes, self.levels - 1, out=codes)
 
     def to_volts(self, codes: np.ndarray) -> np.ndarray:
         """Reconstruction voltage (code centre) for integer codes."""

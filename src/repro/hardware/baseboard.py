@@ -135,26 +135,25 @@ class Baseboard:
     ) -> None:
         """Fill ``out`` ``(n_output, averages, 2)`` with a slot's current and voltage codes."""
         t = self.timing
-        n_output = out.shape[0]
-        total_sub = n_output * t.averages
+        scan_time = t.scan_time_s
+        total_sub = out.shape[0] * t.averages
         scan = first * t.averages
         slot = channel.slot
         i_start = start + (2 * slot) * t.conversion_time_s
         u_start = start + (2 * slot + 1) * t.conversion_time_s
         if channel.rail is not None:
-            _, amps = channel.rail.sample_uniform(i_start, t.scan_time_s, total_sub, scan)
-            volts, _ = channel.rail.sample_uniform(u_start, t.scan_time_s, total_sub, scan)
+            _, amps = channel.rail.sample_uniform(i_start, scan_time, total_sub, scan)
+            volts, _ = channel.rail.sample_uniform(u_start, scan_time, total_sub, scan)
         else:
-            amps = np.zeros(total_sub)
-            volts = np.zeros(total_sub)
+            amps = volts = np.zeros(total_sub)
         i_analog = channel.module.current_sensor.transduce_uniform(
-            amps, i_start, t.scan_time_s, scan
+            amps, i_start, scan_time, scan
         )
+        out[:, :, 0] = self.adc.quantize(i_analog).reshape(out.shape[:2])
         u_analog = channel.module.voltage_sensor.transduce_uniform(
-            volts, u_start, t.scan_time_s, scan
+            volts, u_start, scan_time, scan
         )
-        out[:, :, 0] = self.adc.quantize(i_analog).reshape(n_output, t.averages)
-        out[:, :, 1] = self.adc.quantize(u_analog).reshape(n_output, t.averages)
+        out[:, :, 1] = self.adc.quantize(u_analog).reshape(out.shape[:2])
 
     def _average(self, raw: np.ndarray) -> np.ndarray:
         """Average the scans of ``raw`` (axis 1) the way the firmware rounds.

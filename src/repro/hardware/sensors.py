@@ -49,6 +49,12 @@ VOLTAGE_NOISE_BANDWIDTH_HZ = 100_000.0
 DRIFT_KNOT_SCANS = 4096
 
 
+def _clip(v: np.ndarray, vdd: float) -> np.ndarray:
+    """Clip a sensor output to the supply rails ``[0, vdd]``, in place."""
+    np.maximum(v, 0.0, out=v)
+    return np.minimum(v, vdd, out=v)
+
+
 class ExternalField:
     """An ambient magnetic field at the sensor's location, in millitesla.
 
@@ -112,6 +118,11 @@ class _DriftModel:
         # bounded random walk while staying analytic in t.
         self.wander_amps = rng.normal(0.0, 0.15, size=3) * tempco_a_per_k
         self.wander_freqs = rng.uniform(1.0, 4.0, size=3) / 86400.0  # per second
+        # The knots of the last grid span, keyed by (start, dt, first knot,
+        # last knot): a read of a few hundred scans shares them with the
+        # reads around it.
+        self._knot_key: tuple[float, float, int, int] | None = None
+        self._knots: tuple[np.ndarray, np.ndarray] | None = None
 
     def offset_at(self, t: float | np.ndarray):
         day = 2 * np.pi / 86400.0
@@ -126,15 +137,19 @@ class _DriftModel:
 
         :meth:`offset_at` is evaluated only at the knots, the indices ``k``
         that are multiples of :data:`DRIFT_KNOT_SCANS`, and each scan is
-        interpolated linearly between the two knots around it.
+        interpolated linearly between the two knots around it.  The knot
+        values of the last span are kept, so a run of short reads
+        evaluates each knot once.
         """
-        knots = np.arange(
-            first // DRIFT_KNOT_SCANS * DRIFT_KNOT_SCANS,
-            first + n + DRIFT_KNOT_SCANS - 1,
-            DRIFT_KNOT_SCANS,
-        )
-        scans = np.arange(first, first + n, dtype=float)
-        return np.interp(scans, knots, self.offset_at(start + dt * knots))
+        lo = first // DRIFT_KNOT_SCANS * DRIFT_KNOT_SCANS
+        hi = (first + n + DRIFT_KNOT_SCANS - 2) // DRIFT_KNOT_SCANS * DRIFT_KNOT_SCANS
+        key = (start, dt, lo, hi)
+        if key != self._knot_key:
+            knots = np.arange(lo, hi + 1, DRIFT_KNOT_SCANS)
+            self._knots = (knots, self.offset_at(start + dt * knots))
+            self._knot_key = key
+        knots, values = self._knots
+        return np.interp(np.arange(first, first + n, dtype=float), knots, values)
 
 
 class CurrentSensor:
@@ -192,20 +207,18 @@ class CurrentSensor:
         """Analog output voltages for true currents at ``start + k*dt``, ``k >= first``."""
         currents_a = np.asarray(currents_a, dtype=float)
         n = currents_a.size
-        effective = (
-            currents_a
-            + self.offset_a
-            + self._drift.offset_on_grid(start, dt, first, n)
-            + self.nonlinearity * currents_a**3
-        )
+        v = currents_a + self.offset_a
+        v += self._drift.offset_on_grid(start, dt, first, n)
+        cubic = currents_a**3
+        cubic *= self.nonlinearity
+        v += cubic
         if self.external_field is not None and self.field_coupling_a_per_mt:
             times = start + dt * np.arange(first, first + n)
-            effective = effective + self.field_coupling_a_per_mt * (
-                self.external_field.at(times)
-            )
-        v = self.zero_current_voltage + self.sensitivity * effective
-        v = v + self._noise.sample_uniform(start, dt, n, first)
-        return np.clip(v, 0.0, self.vdd)
+            v += self.field_coupling_a_per_mt * self.external_field.at(times)
+        v *= self.sensitivity
+        v += self.zero_current_voltage
+        v += self._noise.sample_uniform(start, dt, n, first)
+        return _clip(v, self.vdd)
 
 
 class VoltageSensor:
@@ -241,6 +254,7 @@ class VoltageSensor:
     ) -> np.ndarray:
         """Analog output voltages for input voltages at ``start + k*dt``, ``k >= first``."""
         volts_in = np.asarray(volts_in, dtype=float)
-        v = volts_in * self.gain * (1.0 + self.gain_error)
-        v = v + self._noise.sample_uniform(start, dt, volts_in.size, first)
-        return np.clip(v, 0.0, self.vdd)
+        v = volts_in * self.gain
+        v *= 1.0 + self.gain_error
+        v += self._noise.sample_uniform(start, dt, volts_in.size, first)
+        return _clip(v, self.vdd)

@@ -26,7 +26,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.observability.registry import MetricsRegistry
+from repro.observability.registry import Counter, Histogram, MetricsRegistry
 
 #: Span-duration buckets: 100 ns to 10 s.
 SPAN_BUCKETS = (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
@@ -121,6 +121,9 @@ class Tracer:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._records: deque[SpanRecord] = deque(maxlen=max_records)
         self._local = threading.local()
+        # (span_seconds, spans_total) by (name, final labels): the registry
+        # never drops a metric, so a span finds its two metrics once.
+        self._handles: dict[tuple, tuple[Histogram, Counter]] = {}
 
     def _stack(self) -> list[Span]:
         stack = getattr(self._local, "stack", None)
@@ -135,16 +138,24 @@ class Tracer:
         return Span(self, name, {k: str(v) for k, v in labels.items()})
 
     def _record(self, span: Span) -> None:
-        self.registry.histogram(
-            "span_seconds",
-            buckets=SPAN_BUCKETS,
-            help="duration of traced pipeline regions",
-            span=span.name,
-            **span.labels,
-        ).observe(span.duration)
-        self.registry.counter(
-            "spans_total", help="completed trace spans", span=span.name
-        ).inc()
+        key = (span.name, tuple(span.labels.items()))
+        handles = self._handles.get(key)
+        if handles is None:
+            handles = self._handles[key] = (
+                self.registry.histogram(
+                    "span_seconds",
+                    buckets=SPAN_BUCKETS,
+                    help="duration of traced pipeline regions",
+                    span=span.name,
+                    **span.labels,
+                ),
+                self.registry.counter(
+                    "spans_total", help="completed trace spans", span=span.name
+                ),
+            )
+        seconds, total = handles
+        seconds.observe(span.duration)
+        total.inc()
         self._records.append(
             SpanRecord(
                 name=span.name,

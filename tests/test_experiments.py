@@ -5,6 +5,9 @@ bench scale ``python -m repro.experiments.report`` uses), through the
 module-scoped ``result`` fixture; the tests below only read from it.
 """
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -69,6 +72,32 @@ def test_table2_noise_floor_and_sqrt_n(result):
         # Monotone: lower rates are quieter.
         stds = [row["std [W]"] for row in at_load]
         assert all(b < a for a, b in zip(stds, stds[1:]))
+
+
+def experiments_md_section(title: str) -> str:
+    """One ``## `` section of EXPERIMENTS.md, heading included."""
+    text = (Path(__file__).resolve().parents[1] / "EXPERIMENTS.md").read_text()
+    start = text.index(f"## {title}")
+    end = text.find("\n## ", start)
+    return text[start:end]
+
+
+def test_experiments_md_table2_matches_a_paper_scale_run():
+    """EXPERIMENTS.md's Table II rows are what the paper-scale run prints."""
+    experiment = registry.get("table2")
+    rows = experiment.runner(**experiment.scaled_args(True)).rows
+    one_amp = {row["Fs [kHz]"]: row for row in rows if row["load [A]"] == 1.0}
+    section = experiments_md_section("Table II")
+    table = [line for line in section.splitlines() if re.match(r"\| [\d.]+ kHz \|", line)]
+    assert len(table) == len(one_amp)
+    for line in table:
+        rate, _, std, _, peak_to_peak = (cell.strip() for cell in line.strip("|").split("|"))
+        row = one_amp[float(rate.split()[0])]
+        assert std == f"{row['std [W]']:.3f}", rate
+        assert peak_to_peak == f"{row['p-p [W]']:.3f}", rate
+    half_amp = by([row for row in rows if row["load [A]"] == 0.5], "Fs [kHz]")[20.0]
+    low, high = re.search(r"20 kHz measure ([\d.]+) /\s*([\d.]+) W", section).groups()
+    assert (low, high) == (f"{half_amp['min [W]']:.3f}", f"{half_amp['max [W]']:.3f}")
 
 
 def test_fig4_envelope_ordering(result):

@@ -2,16 +2,28 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.common.clock import VirtualClock
 from repro.common.errors import DeviceError, ProtocolError
 from repro.common.rng import RngStream
+from repro.core.sources import ProtocolSampleSource
 from repro.dut.base import ConstantRail
 from repro.firmware.device import Firmware, default_eeprom
-from repro.firmware.protocol import SensorReading, StreamDecoder, Timestamp
+from repro.firmware.protocol import (
+    TIMESTAMP_SENSOR,
+    TIMESTAMP_WRAP_US,
+    SensorReading,
+    StreamDecoder,
+    Timestamp,
+)
 from repro.firmware.version import FIRMWARE_VERSION
+from repro.hardware.adc import AdcTiming
 from repro.hardware.baseboard import Baseboard
 from repro.hardware.eeprom import RECORD_SIZE, SENSORS, VirtualEeprom
 from repro.hardware.modules import SensorModule
+from repro.transport.link import VirtualSerialLink
 
 
 def make_firmware(slots=(0,)) -> Firmware:
@@ -223,3 +235,102 @@ def test_reboot_resets_marker_accounting():
     assert firmware.markers_dropped == 1
     firmware.handle_input(b"B")
     assert firmware.markers_dropped == 0
+
+
+# --------------------------------------------------------------------- #
+# Encoder oracle                                                        #
+# --------------------------------------------------------------------- #
+
+
+def reference_packets(
+    codes: np.ndarray,
+    sensors: list[int],
+    origin: float,
+    first: int,
+    timing: AdcTiming,
+    n_mark: int,
+) -> bytes:
+    """The packet bytes of ``codes`` (n, 8), encoded one sensor at a time.
+
+    The reference for :meth:`Firmware.produce`, which encodes every
+    field at once as little-endian words: a timestamp packet, then one
+    packet per enabled sensor, per sample; the first ``n_mark`` samples
+    carry sensor 0's marker bit.
+    """
+    n_samples = codes.shape[0]
+    packets = np.zeros((n_samples, 1 + len(sensors), 2), dtype=np.uint8)
+    ts_times = origin + np.arange(first, first + n_samples) * timing.output_interval_s
+    ts_times = ts_times + 3 * timing.scan_time_s
+    micros = np.round(ts_times * 1e6).astype(np.int64) % TIMESTAMP_WRAP_US
+    packets[:, 0, 0] = 0x80 | (TIMESTAMP_SENSOR << 4) | 0x08 | (micros >> 7)
+    packets[:, 0, 1] = micros & 0x7F
+    marker_flags = np.zeros(n_samples, dtype=np.uint8)
+    if 0 in sensors:
+        marker_flags[:n_mark] = 1
+    for field, sensor in enumerate(sensors, start=1):
+        values = codes[:, sensor].astype(np.int64)
+        byte0 = 0x80 | (sensor << 4) | (values >> 7)
+        if sensor == 0:
+            byte0 = byte0 | (marker_flags << 3)
+        packets[:, field, 0] = byte0
+        packets[:, field, 1] = values & 0x7F
+    return packets.tobytes()
+
+
+class CodesBoard:
+    """A baseboard stand-in whose averaged codes are given, by sample index."""
+
+    def __init__(self, codes: np.ndarray) -> None:
+        self.codes = codes
+        self.timing = AdcTiming()
+
+    def averaged_codes(self, start: float, n_output: int, first: int = 0) -> np.ndarray:
+        return self.codes[first : first + n_output]
+
+
+def _configs(enabled: list[bool]) -> VirtualEeprom:
+    eeprom = VirtualEeprom()
+    for sensor, on in enumerate(enabled):
+        if on:
+            # Distinct conversions, so a column mix-up changes the values.
+            eeprom.update(sensor, vref=0.1 * sensor, slope=0.5 + sensor, enabled=True)
+    return eeprom
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    enabled=st.lists(st.booleans(), min_size=SENSORS, max_size=SENSORS).filter(any),
+    sizes=st.lists(st.integers(1, 60), min_size=1, max_size=3),
+    markers=st.integers(0, 70),
+    idle=st.integers(0, 50_000),
+    origin=st.floats(0.0, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_produce_matches_the_per_sensor_encoder(enabled, sizes, markers, idle, origin, seed):
+    codes = np.random.default_rng(seed).integers(0, 1024, (idle + sum(sizes), SENSORS))
+    board = CodesBoard(codes)
+    firmware = Firmware(board, eeprom=_configs(enabled), clock=VirtualClock(origin))
+    sensors = [sensor for sensor, on in enumerate(enabled) if on]
+    link = VirtualSerialLink(firmware)
+    template, generic = ProtocolSampleSource(link), ProtocolSampleSource(link)
+    firmware.produce(idle)  # not streaming yet: time passes, nothing is sent
+    firmware.handle_input(b"S" + b"M" * markers)
+    pending = markers
+    for n in sizes:
+        first = firmware.clock.ticks
+        data = firmware.produce(n)
+        n_mark = min(pending, n)
+        expected = reference_packets(
+            codes[first : first + n], sensors, firmware.clock.origin, first, board.timing, n_mark
+        )
+        assert data == expected
+        pending -= n_mark
+
+        fast = template._decode_template(data)
+        slow = generic._decode_generic(data)
+        assert fast is not None
+        for name in ("times", "values", "markers", "enabled"):
+            np.testing.assert_array_equal(getattr(fast, name), getattr(slow, name))
+        assert fast.values.tobytes() == slow.values.tobytes()
+        assert int(fast.markers.sum()) == (n_mark if enabled[0] else 0)
+    assert firmware.markers_dropped == (0 if enabled[0] else markers - pending)

@@ -101,6 +101,28 @@ def test_knot_drift_stays_within_1e_12_a_of_offset_at_over_a_50_hour_run(key):
         assert np.array_equal(got[on_knots], want[on_knots])
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    grids=st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 2 * AdcTiming().conversion_time_s, 3600.0]),
+            st.sampled_from([SCAN_S, 2 * SCAN_S]),
+            st.integers(0, 3 * DRIFT_KNOT_SCANS),
+            st.integers(1, 2 * DRIFT_KNOT_SCANS),
+        ),
+        min_size=2,
+        max_size=6,
+    )
+)
+def test_knot_drift_on_a_grid_does_not_depend_on_the_grids_before(grids):
+    """The knot values kept from one read are reused only on their own span."""
+    drift = CurrentSensor(0.12, 0.0, RngStream(7, "hall"))._drift
+    for start, dt, first, n in grids:
+        fresh = CurrentSensor(0.12, 0.0, RngStream(7, "hall"))._drift
+        got = drift.offset_on_grid(start, dt, first, n)
+        assert got.tobytes() == fresh.offset_on_grid(start, dt, first, n).tobytes()
+
+
 @st.composite
 def scan_grid_splits(draw):
     """A scan grid from ``first`` and cuts, some on or next to a drift knot."""
