@@ -80,14 +80,8 @@ class ElectronicLoad:
         Built once per schedule: :meth:`set_current`, the only change to
         it, drops them.  The arrays are shared, so they are read-only.
         """
-        if self._breakpoint_arrays is None:
-            times, amps = self._ramps()
-            times.flags.writeable = amps.flags.writeable = False
-            self._breakpoint_arrays = (times, amps)
-        return self._breakpoint_arrays
-
-    def _ramps(self) -> tuple[np.ndarray, np.ndarray]:
-        """The breakpoints, from the step schedule."""
+        if self._breakpoint_arrays is not None:
+            return self._breakpoint_arrays
         times = [self._steps[0].time]
         amps = [self._steps[0].amps]
         for step in self._steps[1:]:
@@ -96,7 +90,11 @@ class ElectronicLoad:
             t0 = max(step.time, times[-1])
             times.extend([t0, t0 + ramp])
             amps.extend([prev_i, step.amps])
-        return np.asarray(times), np.asarray(amps)
+        arrays = (np.asarray(times), np.asarray(amps))
+        for array in arrays:
+            array.flags.writeable = False
+        self._breakpoint_arrays = arrays
+        return arrays
 
     def current_at(self, times: np.ndarray) -> np.ndarray:
         bp_t, bp_i = self._breakpoints()
