@@ -51,14 +51,14 @@ class ElectronicLoad:
             raise MeasurementError("slew rate must be positive")
         self.slew_a_per_s = slew_a_per_us * 1e6
         self._steps: list[_Step] = [_Step(0.0, 0.0)]
-        self._breakpoint_arrays: tuple[np.ndarray, np.ndarray] | None = None
+        # (steps, times, amps) of the last breakpoints built.
+        self._breakpoint_arrays: tuple = (0, None, None)
 
     def set_current(self, amps: float, at_time: float = 0.0) -> None:
         """Schedule a setpoint change (times must be scheduled in order)."""
         if self._steps and at_time < self._steps[-1].time:
             raise MeasurementError("load steps must be scheduled in time order")
         self._steps.append(_Step(float(at_time), float(amps)))
-        self._breakpoint_arrays = None
 
     def program_square(
         self,
@@ -77,24 +77,28 @@ class ElectronicLoad:
     def _breakpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """Piecewise-linear (time, current) breakpoints with slew ramps.
 
-        Built once per schedule: :meth:`set_current`, the only change to
-        it, drops them.  The arrays are shared, so they are read-only.
+        Built once per schedule.  :meth:`set_current` only appends, so
+        the number of steps identifies the schedule and keys the arrays,
+        even while a producer thread reads them.  The arrays are shared,
+        so they are read-only.
         """
-        if self._breakpoint_arrays is not None:
-            return self._breakpoint_arrays
-        times = [self._steps[0].time]
-        amps = [self._steps[0].amps]
-        for step in self._steps[1:]:
+        n_steps = len(self._steps)
+        built, bp_t, bp_i = self._breakpoint_arrays
+        if built == n_steps:
+            return bp_t, bp_i
+        steps = self._steps[:n_steps]
+        times = [steps[0].time]
+        amps = [steps[0].amps]
+        for step in steps[1:]:
             prev_i = amps[-1]
             ramp = abs(step.amps - prev_i) / self.slew_a_per_s
             t0 = max(step.time, times[-1])
             times.extend([t0, t0 + ramp])
             amps.extend([prev_i, step.amps])
-        arrays = (np.asarray(times), np.asarray(amps))
-        for array in arrays:
-            array.flags.writeable = False
-        self._breakpoint_arrays = arrays
-        return arrays
+        bp_t, bp_i = np.asarray(times), np.asarray(amps)
+        bp_t.flags.writeable = bp_i.flags.writeable = False
+        self._breakpoint_arrays = (n_steps, bp_t, bp_i)
+        return bp_t, bp_i
 
     def current_at(self, times: np.ndarray) -> np.ndarray:
         bp_t, bp_i = self._breakpoints()

@@ -118,11 +118,10 @@ class _DriftModel:
         # bounded random walk while staying analytic in t.
         self.wander_amps = rng.normal(0.0, 0.15, size=3) * tempco_a_per_k
         self.wander_freqs = rng.uniform(1.0, 4.0, size=3) / 86400.0  # per second
-        # The knots of the last grid span, keyed by (start, dt, first knot,
-        # last knot): a read of a few hundred scans shares them with the
-        # reads around it.
-        self._knot_key: tuple[float, float, int, int] | None = None
-        self._knots: tuple[np.ndarray, np.ndarray] | None = None
+        # (key, knots, values) of the last grid span, keyed by (start, dt,
+        # first knot, last knot): a read of a few hundred scans shares its
+        # knots with the reads around it.
+        self._knots: tuple = (None, None, None)
 
     def offset_at(self, t: float | np.ndarray):
         day = 2 * np.pi / 86400.0
@@ -144,11 +143,11 @@ class _DriftModel:
         lo = first // DRIFT_KNOT_SCANS * DRIFT_KNOT_SCANS
         hi = (first + n + DRIFT_KNOT_SCANS - 2) // DRIFT_KNOT_SCANS * DRIFT_KNOT_SCANS
         key = (start, dt, lo, hi)
-        if key != self._knot_key:
+        cached, knots, values = self._knots
+        if key != cached:
             knots = np.arange(lo, hi + 1, DRIFT_KNOT_SCANS)
-            self._knots = (knots, self.offset_at(start + dt * knots))
-            self._knot_key = key
-        knots, values = self._knots
+            values = self.offset_at(start + dt * knots)
+            self._knots = (key, knots, values)
         return np.interp(np.arange(first, first + n, dtype=float), knots, values)
 
 
