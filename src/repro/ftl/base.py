@@ -93,13 +93,21 @@ class FtlPolicy:
 
     def _format(self) -> None:
         spec = self.spec
-        n_pages = spec.n_blocks * spec.pages_per_block
+        n_blocks = spec.n_blocks
+        ppb = spec.pages_per_block
+        # GC starts below the low free-block watermark and runs up to the
+        # high one; the spec is frozen, so both are fixed here.
+        self._gc_low = max(int(n_blocks * spec.gc_low_watermark), 2)
+        self._gc_high = max(int(n_blocks * spec.gc_high_watermark), self._gc_low)
         # Logical -> physical page number; physical -> logical (INVALID = free/stale).
         self.l2p = np.full(spec.logical_pages, INVALID, dtype=np.int64)
-        self.p2l = np.full(n_pages, INVALID, dtype=np.int64)
-        self.valid_count = np.zeros(spec.n_blocks, dtype=np.int64)
-        self.block_state = np.zeros(spec.n_blocks, dtype=np.int8)  # 0 free, 1 open, 2 full
-        self._free_blocks = list(range(spec.n_blocks - 1, 0, -1))
+        self.p2l = np.full(n_blocks * ppb, INVALID, dtype=np.int64)
+        self.valid_count = np.zeros(n_blocks, dtype=np.int64)
+        self.block_state = np.zeros(n_blocks, dtype=np.int8)  # 0 free, 1 open, 2 full
+        # Added to valid_count for the GC victim search: 0 for a full
+        # block, pages_per_block for a free or open one.
+        self._gc_penalty = np.full(n_blocks, ppb, dtype=np.int64)
+        self._free_blocks = list(range(n_blocks - 1, 0, -1))
         self._active_block = 0
         self.block_state[0] = 1
         self._write_ptr = 0
@@ -134,6 +142,32 @@ class FtlPolicy:
         expect = np.flatnonzero(self.l2p != INVALID)
         if not np.array_equal(np.sort(back), np.sort(expect)):
             raise MeasurementError("P2L back-pointers inconsistent with L2P")
+        blocks = self.p2l.reshape(spec.n_blocks, spec.pages_per_block)
+        programmed = blocks != INVALID
+        if int(np.count_nonzero(programmed)) != mapped.size:
+            raise MeasurementError("P2L holds back-pointers beyond the mapped pages")
+        if not np.array_equal(programmed.sum(axis=1), self.valid_count):
+            raise MeasurementError("per-block valid count disagrees with P2L")
+        free = np.asarray(self._free_blocks, dtype=np.int64)
+        if np.unique(free).size != free.size:
+            raise MeasurementError("a block sits in the free pool twice")
+        if np.count_nonzero(self.block_state == 0) != free.size:
+            raise MeasurementError("the free pool is not the set of free blocks")
+        if (
+            np.any(self.block_state[free] != 0)
+            or np.any(self.valid_count[free] != 0)
+            or np.any(programmed[free])
+        ):
+            raise MeasurementError("a free block is not erased")
+        if not np.array_equal(
+            np.flatnonzero(self.block_state == 1), [self._active_block]
+        ):
+            raise MeasurementError("the active block is not the one open block")
+        if np.any(programmed[self._active_block, self._write_ptr :]):
+            raise MeasurementError("the active block is programmed past its write pointer")
+        full_key = np.where(self.block_state == 2, 0, spec.pages_per_block)
+        if not np.array_equal(self._gc_penalty, full_key):
+            raise MeasurementError("the GC victim key disagrees with the block states")
         if self.map_bytes() < 0:
             raise MeasurementError("mapping-table footprint went negative")
 
@@ -215,14 +249,14 @@ class FtlPolicy:
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
-    # Shared program / GC machinery (extracted verbatim from Ssd)        #
+    # Shared program / GC machinery                                      #
     # ------------------------------------------------------------------ #
 
     def _program(self, lpns: np.ndarray) -> None:
-        spec = self.spec
+        ppb = self.spec.pages_per_block
         offset = 0
         while offset < lpns.size:
-            room = spec.pages_per_block - self._write_ptr
+            room = ppb - self._write_ptr
             if room == 0:
                 self._open_new_block()
                 continue
@@ -231,33 +265,44 @@ class FtlPolicy:
             offset += chunk.size
 
     def _program_into_active(self, lpns: np.ndarray) -> None:
-        spec = self.spec
-        # Invalidate prior versions.  A repeated LPN in one chunk repeats
-        # its old physical page, which must be invalidated exactly once;
-        # distinct LPNs map to distinct pages, so deduplicating the live
-        # old positions suffices.  GC relocations have none: their old
-        # copies are already unmapped.
+        n = lpns.size
+        active = self._active_block
+        start = active * self.spec.pages_per_block + self._write_ptr
+        stop = start + n
+        positions = np.arange(start, stop, dtype=np.int64)
+        if self._in_gc:
+            # A GC relocation: distinct LPNs whose only copies lay in the
+            # victim, erased before its survivors were handed here, so
+            # there is no old copy to invalidate and no duplicate to go
+            # stale.
+            self.p2l[start:stop] = lpns
+            self.l2p[lpns] = positions
+            self.valid_count[active] += n
+            self._write_ptr += n
+            return
         old = self.l2p[lpns]
-        live = old != INVALID
-        if np.any(live):
-            old_pos = np.unique(old[live])
-            self.p2l[old_pos] = INVALID
-            np.subtract.at(self.valid_count, old_pos // spec.pages_per_block, 1)
-        start = self._active_block * spec.pages_per_block + self._write_ptr
-        positions = start + np.arange(lpns.size, dtype=np.int64)
-        # Last occurrence of each lpn wins.
-        self.p2l[positions] = lpns
+        self.p2l[start:stop] = lpns
         self.l2p[lpns] = positions  # duplicate lpns: numpy keeps the last write
-        # Stale duplicates inside this chunk: positions whose back-pointer
-        # no longer points at them.
-        stale = self.l2p[self.p2l[positions]] != positions
-        if np.any(stale):
-            self.p2l[positions[stale]] = INVALID
-        self.valid_count[self._active_block] += int(np.count_nonzero(~stale))
-        self._write_ptr += int(lpns.size)
+        # Last occurrence of each lpn wins: the earlier positions of a
+        # repeated lpn no longer hold its mapping.
+        stale = self.l2p[lpns] != positions
+        live = old != INVALID
+        if stale.any():
+            self.p2l[start:stop][stale] = INVALID
+            # A repeated lpn repeats its old page; invalidate it once.
+            live &= ~stale
+        if live.any():
+            # Old copies lie behind the write pointer, never in this chunk.
+            old = old[live]
+            self.p2l[old] = INVALID
+            np.subtract.at(self.valid_count, old // self.spec.pages_per_block, 1)
+        self.valid_count[active] += n - int(np.count_nonzero(stale))
+        self._write_ptr += n
 
     def _open_new_block(self) -> None:
-        self.block_state[self._active_block] = 2  # full
+        full = self._active_block
+        self.block_state[full] = 2
+        self._gc_penalty[full] = 0
         if not self._free_blocks and not self._collect_one():
             raise MeasurementError("FTL ran out of free blocks (GC starvation)")
         self._active_block = self._free_blocks.pop()
@@ -266,40 +311,38 @@ class FtlPolicy:
         self._maybe_collect()
 
     def _maybe_collect(self) -> None:
-        if self._in_gc:
-            return  # relocations already run under an outer collection loop
-        low = max(int(self.spec.n_blocks * self.spec.gc_low_watermark), 2)
-        if len(self._free_blocks) >= low:
+        # Relocations already run under an outer collection loop.
+        if self._in_gc or len(self._free_blocks) >= self._gc_low:
             return
-        high = max(int(self.spec.n_blocks * self.spec.gc_high_watermark), low)
-        while len(self._free_blocks) < high:
-            if not self._collect_one():
-                break
+        while len(self._free_blocks) < self._gc_high and self._collect_one():
+            pass
 
     def _collect_one(self) -> bool:
         """Greedy GC: relocate the fullest-of-stale block; returns success."""
-        spec = self.spec
-        candidates = np.flatnonzero(self.block_state == 2)
-        if candidates.size == 0:
-            return False
-        victim = int(candidates[np.argmin(self.valid_count[candidates])])
-        if self.valid_count[victim] >= spec.pages_per_block:
+        ppb = self.spec.pages_per_block
+        # Only a full block keys below pages_per_block, so the first
+        # minimum is the lowest-numbered full block with the fewest valid
+        # pages, and a minimum of pages_per_block or more means no full
+        # block holds a stale page.
+        key = self.valid_count + self._gc_penalty
+        victim = int(key.argmin())
+        if key[victim] >= ppb:
             return False  # nothing reclaimable anywhere
-        start = victim * spec.pages_per_block
-        phys = np.arange(start, start + spec.pages_per_block, dtype=np.int64)
-        live_lpns = self.p2l[phys]
-        live_lpns = live_lpns[live_lpns != INVALID]
+        block = self.p2l[victim * ppb : (victim + 1) * ppb]
+        live_lpns = block[block != INVALID]
         # Erase first (the mappings move, so clear victim bookkeeping), then
         # re-program the survivors through the normal write path.
-        self.p2l[phys] = INVALID
+        block.fill(INVALID)
         self.valid_count[victim] = 0
         self.block_state[victim] = 0
+        self._gc_penalty[victim] = ppb
         self._free_blocks.insert(0, victim)
         self.counters.blocks_erased += 1
         self.counters.gc_runs += 1
         if live_lpns.size:
             live_lpns = self._gc_live_order(live_lpns)
-            self.l2p[live_lpns] = INVALID  # re-mapped by _program below
+            # Their L2P entries point into the erased block until _program
+            # maps them again; nothing reads them in between.
             was_in_gc = self._in_gc
             self._in_gc = True
             try:

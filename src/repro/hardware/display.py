@@ -89,13 +89,11 @@ class Display:
         if cached is not None:
             return cached
         self.stats.glyph_cache_misses += 1
-        columns = _FONT_5X7.get(char, _FONT_5X7[" "])
-        bitmap = np.zeros((GLYPH_H, GLYPH_W), dtype=bool)
-        for x, col in enumerate(columns):
-            for y in range(GLYPH_H):
-                bitmap[y, x] = bool(col & (1 << y))
-        glyph = np.where(np.kron(bitmap, np.ones((scale, scale), bool)), color, 0)
-        glyph = glyph.astype(np.uint16)
+        columns = np.array(_FONT_5X7.get(char, _FONT_5X7[" "]))
+        # Row y of the bitmap is bit y of every column byte.
+        bitmap = (columns >> np.arange(GLYPH_H)[:, None]) & 1
+        bitmap = bitmap.repeat(scale, axis=0).repeat(scale, axis=1)
+        glyph = (bitmap * color).astype(np.uint16)
         self._glyph_cache[key] = glyph
         return glyph
 

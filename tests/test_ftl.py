@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, MeasurementError
 from repro.common.units import MIB
 from repro.dut.ssd import Ssd, SsdCounters, SsdSpec
 from repro.ftl import (
@@ -265,6 +265,77 @@ class TestWriteExpansion:
         for _ in range(8):
             ssd.write_pages(rng.integers(0, ssd.spec.logical_pages, 4096))
         assert ssd.counters.merge_pages_relocated == 0
+
+
+# ---------------------------------------------------------------------- #
+# check_invariants catches each kind of corrupted state                  #
+# ---------------------------------------------------------------------- #
+
+
+def _full_block(ftl) -> int:
+    return int(np.flatnonzero(ftl.block_state == 2)[0])
+
+
+def _shift_valid_count(ftl) -> None:
+    a, b = np.flatnonzero(ftl.block_state == 2)[:2]
+    ftl.valid_count[a] -= 1
+    ftl.valid_count[b] += 1
+
+
+def _stray_back_pointer(ftl) -> None:
+    ftl.p2l[ftl._free_blocks[0] * ftl.spec.pages_per_block] = 0
+
+
+def _duplicate_free_block(ftl) -> None:
+    ftl._free_blocks.append(ftl._free_blocks[0])
+
+
+def _full_block_in_free_pool(ftl) -> None:
+    ftl._free_blocks[0] = _full_block(ftl)
+
+
+def _drop_free_block(ftl) -> None:
+    ftl._free_blocks.pop(0)
+
+
+def _second_open_block(ftl) -> None:
+    ftl.block_state[_full_block(ftl)] = 1
+
+
+def _rewind_write_pointer(ftl) -> None:
+    ftl._write_ptr -= 1
+
+
+def _stale_gc_key(ftl) -> None:
+    ftl._gc_penalty[ftl._free_blocks[0]] = 0
+
+
+@pytest.mark.parametrize(
+    ("corrupt", "message"),
+    [
+        (_shift_valid_count, "per-block valid count disagrees"),
+        (_stray_back_pointer, "beyond the mapped pages"),
+        (_duplicate_free_block, "free pool twice"),
+        (_full_block_in_free_pool, "free block is not erased"),
+        (_drop_free_block, "free pool is not the set of free blocks"),
+        (_second_open_block, "not the one open block"),
+        (_rewind_write_pointer, "past its write pointer"),
+        (_stale_gc_key, "GC victim key"),
+    ],
+)
+def test_check_invariants_catches_corruption(corrupt, message):
+    ftl = PageMapFtl(small_spec())
+    rng = np.random.default_rng(5)
+    ftl.write_pages(np.arange(ftl.spec.logical_pages))
+    ftl.write_pages(rng.integers(0, ftl.spec.logical_pages, 3000))
+    ftl.check_invariants()
+    # Every corruption below needs these to hold.
+    assert ftl.counters.gc_runs > 0 and ftl._free_blocks
+    assert ftl._write_ptr > 0
+    assert ftl.p2l[ftl._active_block * ftl.spec.pages_per_block + ftl._write_ptr - 1] >= 0
+    corrupt(ftl)
+    with pytest.raises(MeasurementError, match=message):
+        ftl.check_invariants()
 
 
 # ---------------------------------------------------------------------- #
