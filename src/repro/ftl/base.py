@@ -142,8 +142,7 @@ class FtlPolicy:
         expect = np.flatnonzero(self.l2p != INVALID)
         if not np.array_equal(np.sort(back), np.sort(expect)):
             raise MeasurementError("P2L back-pointers inconsistent with L2P")
-        blocks = self.p2l.reshape(spec.n_blocks, spec.pages_per_block)
-        programmed = blocks != INVALID
+        programmed = self.p2l.reshape(spec.n_blocks, spec.pages_per_block) != INVALID
         if int(np.count_nonzero(programmed)) != mapped.size:
             raise MeasurementError("P2L holds back-pointers beyond the mapped pages")
         if not np.array_equal(programmed.sum(axis=1), self.valid_count):

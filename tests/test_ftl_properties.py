@@ -345,26 +345,15 @@ BURST_SPEC = SsdSpec(
 )
 
 
-def _gc_watermarks(spec: SsdSpec) -> tuple[int, int]:
-    low = max(int(spec.n_blocks * spec.gc_low_watermark), 2)
-    return low, max(int(spec.n_blocks * spec.gc_high_watermark), low)
-
-
 _chunkwise_ops = st.one_of(
-    st.tuples(st.just("write"), st.integers(0, 2**32 - 1), st.integers(1, 1024)),
-    st.tuples(st.just("dup_write"), st.integers(0, 2**32 - 1), st.integers(1, 64)),
-    st.tuples(st.just("seq_write"), st.integers(0, 2**32 - 1), st.integers(1, 700)),
-    st.tuples(st.just("trim"), st.integers(0, 2**32 - 1), st.integers(1, 512)),
-    st.tuples(st.just("format"), st.just(0), st.just(0)),
+    _oracle_ops, st.tuples(st.just("format"), st.just(0), st.just(0))
 )
 
 
-def test_burst_spec_collects_several_victims_per_trigger():
-    for spec in (SPEC, ORACLE_SPEC):
-        low, high = _gc_watermarks(spec)
-        assert low == high == 2
-    low, high = _gc_watermarks(BURST_SPEC)
-    assert (low, high) == (2, 6)
+def test_oracle_drives_collect_one_and_several_victims_per_trigger():
+    for spec, watermarks in ((SPEC, (2, 2)), (ORACLE_SPEC, (2, 2)), (BURST_SPEC, (2, 6))):
+        ftl = FTL_POLICIES["page"](spec)
+        assert (ftl._gc_low, ftl._gc_high) == watermarks
 
 
 @pytest.mark.parametrize("policy", sorted(FTL_POLICIES))
