@@ -28,7 +28,7 @@ from repro.campaign.registry import Param
 from repro.experiments.common import ExperimentResult
 from repro.storage.engine import IoEngine, precondition
 from repro.storage.fio import FioJob
-from repro.storage.jobfile import measure_trace
+from repro.storage.jobfile import JobRunner, JobSpec, measure_trace
 
 READ_SIZES = ("1k", "4k", "16k", "64k", "128k", "256k", "512k", "1m", "2m", "4m")
 #: The mapping policies the FTL comparison runs, in row order.
@@ -142,57 +142,45 @@ def run_ftl_comparison(
 ) -> ExperimentResult:
     """Extended Fig. 12b: the write study swept across FTL policies.
 
-    Each policy gets an identical drive, preconditioning pass and
-    sustained random 4 KiB write workload; the simulated PowerSensor3
-    measures every run, and the comparison reports **energy per IO**
-    alongside bandwidth variability, write amplification and
-    mapping-table footprint — the trade-off axes a mapping scheme moves.
-
-    Kept separate from :func:`run` so the paper-matching figure stays
-    bit-identical while this sweep is free to evolve.
+    Each policy runs the same psfio job list on an identical drive:
+    format and one sequential preconditioning pass, then a stonewalled
+    sustained random 4 KiB write job.  The simulated PowerSensor3
+    measures the write job, and each row reads that job's outcome:
+    **energy per IO** alongside bandwidth variability, write
+    amplification and mapping-table footprint — the trade-off axes a
+    mapping scheme moves.
     """
     result = ExperimentResult(name="Fig. 12 (extended): energy per IO by FTL policy")
+    spec = SsdSpec(logical_bytes=logical_bytes)
+    jobs = [
+        JobSpec(job=FioJob(rw="write", bs="128k"), pre_format=True, precondition_passes=1.0),
+        JobSpec(
+            job=FioJob(rw="randwrite", bs="4k", iodepth=4, runtime_s=write_runtime_s),
+            stonewall=True,
+            runtime_s=write_runtime_s,
+        ),
+    ]
     for policy in COMPARED_POLICIES:
-        ssd = Ssd(SsdSpec(logical_bytes=logical_bytes), seed=seed, ftl=policy)
-        engine = IoEngine(ssd, seed=seed)
-        setup = SimulatedSetup(
-            ["pcie_slot_3v3"], seed=seed, direct=True, calibration_samples=32 * 1024
-        )
-        ssd.format()
-        precondition(ssd, engine, bs="128k")
-        ssd.idle_flush()
-        job = FioJob(rw="randwrite", bs="4k", iodepth=4, runtime_s=write_runtime_s)
-        # Write amplification of the random-write run alone, as psfio
-        # reports it: the preconditioning pass is left out.
-        before = (ssd.counters.host_pages_written, ssd.counters.internal_pages_written)
-        outcome = engine.run(job)
-        host = ssd.counters.host_pages_written - before[0]
-        internal = ssd.counters.internal_pages_written - before[1]
-        watts = measure_trace(
-            setup, outcome.power_trace(volts=3.3), write_runtime_s
-        )
-        setup.close()
-
-        bw = outcome.bandwidth
+        _, outcome = JobRunner(
+            jobs, ftl=policy, ssd_spec=spec, seed=seed, keep_intervals=True
+        ).run()
+        bw = np.array([s.bandwidth_bps for s in outcome.intervals])
         steady = bw[bw.size // 3 :]
-        energy_j = watts * write_runtime_s
-        total_ios = float(bw.sum() * engine.tick_s / job.block_bytes)
-        joules_per_io = energy_j / total_ios if total_ios else float("inf")
         result.rows.append(
             {
                 "ftl": policy,
-                "bandwidth [MB/s]": outcome.mean_bandwidth / 1e6,
+                "bandwidth [MB/s]": outcome.bandwidth_mean_bps / 1e6,
                 "bandwidth CV": float(steady.std() / max(steady.mean(), 1e-9)),
-                "PS3 power [W]": watts,
-                "J/IO [uJ]": joules_per_io * 1e6,
-                "WA": (host + internal) / host if host else 1.0,
-                "map [KiB]": ssd.map_bytes() / 1024,
+                "PS3 power [W]": outcome.power_mean_w,
+                "J/IO [uJ]": outcome.joules_per_io * 1e6,
+                "WA": outcome.write_amplification,  # the write job alone
+                "map [KiB]": outcome.map_bytes / 1024,
             }
         )
         result.series[f"{policy}/bandwidth_bps"] = bw
-        result.series[f"{policy}/power_w"] = outcome.power
-        result.series[f"{policy}/joules_per_io"] = np.array([joules_per_io])
-        result.series[f"{policy}/map_bytes"] = np.array([float(ssd.map_bytes())])
+        result.series[f"{policy}/power_w"] = np.array([s.power_watts for s in outcome.intervals])
+        result.series[f"{policy}/joules_per_io"] = np.array([outcome.joules_per_io])
+        result.series[f"{policy}/map_bytes"] = np.array([float(outcome.map_bytes)])
     result.notes.append(
         "power is pinned near the saturated TLC level for every policy; what "
         "a mapping scheme changes is the host-visible share of that work — "

@@ -193,7 +193,7 @@ class FtlPolicy:
 
     def trim(self, lpns: np.ndarray) -> int:
         """NVMe Deallocate (TRIM): drop mappings; returns pages deallocated."""
-        lpns = np.unique(np.asarray(lpns, dtype=np.int64))
+        lpns = _sorted_unique(np.asarray(lpns, dtype=np.int64))
         if lpns.size == 0:
             return 0
         if np.any((lpns < 0) | (lpns >= self.spec.logical_pages)):
@@ -350,6 +350,21 @@ class FtlPolicy:
                 self._in_gc = was_in_gc
             self.counters.gc_pages_relocated += int(live_lpns.size)
         return True
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)``, by sort and compare.
+
+    numpy 2's ``np.unique`` hashes integer input, which costs several
+    times a sort on the LPN batches of the write and trim paths.
+    """
+    out = np.sort(values, axis=None)
+    if out.size > 1:
+        keep = np.empty(out.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(out[1:], out[:-1], out=keep[1:])
+        out = out[keep]
+    return out
 
 
 def _require_group_pages(spec, group_pages: int) -> int:

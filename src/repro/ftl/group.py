@@ -26,6 +26,7 @@ from repro.ftl.base import (
     PAGE_ENTRY_BYTES,
     FtlPolicy,
     _require_group_pages,
+    _sorted_unique,
 )
 
 
@@ -50,8 +51,8 @@ class GroupMapFtl(FtlPolicy):
         # disjoint, and GC moves live pages but never unmaps one, so the
         # live mask taken up front is the one each group would see.
         g = self.group_pages
-        host = np.unique(lpns)
-        groups = np.unique(host // g)
+        host = _sorted_unique(lpns)
+        groups = _sorted_unique(host // g)
         members = (groups[:, None] * g + np.arange(g, dtype=np.int64)).ravel()
         members = members[members < self.spec.logical_pages]
         host_mask = np.zeros(members.size, dtype=bool)

@@ -26,6 +26,7 @@ from repro.ftl.base import (
     INVALID,
     FtlPolicy,
     _require_group_pages,
+    _sorted_unique,
 )
 
 
@@ -77,7 +78,7 @@ class HybridDeltaFtl(FtlPolicy):
         # Threshold compaction on the groups this write touched.  A
         # compaction's own programs never re-enter here (only host writes
         # do), so one pass over the touched set terminates.
-        for grp in np.unique(lpns // self.group_pages):
+        for grp in _sorted_unique(lpns // self.group_pages):
             members = self._group_members(int(grp))
             if self._group_deltas(members) < self.compact_threshold:
                 continue

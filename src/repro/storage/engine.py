@@ -1,11 +1,13 @@
 """The I/O engine: runs fio jobs against the simulated SSD.
 
-Reads use the drive's steady-state performance model (no FTL state is
-involved in reading); writes step the FTL in ticks, issuing as many page
-programs as the NAND backend can absorb per tick and recording the
-host-visible share — which is where garbage-collection-induced bandwidth
-variability appears while power stays pinned at the saturated level
-(Fig. 12b).
+Every job runs through one tick body, :meth:`JobStepper.tick`, whether
+:meth:`IoEngine.run` runs it whole (Fig. 12) or the job-file runner
+ticks it (psfio).  A tick's reads follow the drive's steady-state
+performance model and charge the FTL policy's mapping lookups; its
+writes step the FTL, issuing as many page programs as the NAND backend
+can absorb and recording the host-visible share — which is where
+garbage-collection-induced bandwidth variability appears while power
+stays pinned at the saturated level (Fig. 12b).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class JobResult:
 
     job: FioJob
     intervals: list[IntervalSample] = field(default_factory=list)
-    #: Per-request completion latencies (read jobs only; empty otherwise).
+    #: Per-request completion latencies (empty for a pure write job).
     latencies_s: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def latency_percentiles(self, quantiles=(50, 95, 99)) -> dict[int, float]:
@@ -90,51 +92,32 @@ class IoEngine:
         self.tick_s = tick_s
 
     def run(self, job: FioJob) -> JobResult:
-        if job.is_mixed:
-            return self._run_mixed(job)
-        if job.is_write:
-            return self._run_write(job)
-        return self._run_read(job)
+        """Run a whole job: tick one :class:`JobStepper` for its runtime."""
+        stepper = self.stepper(job)
+        n_ticks = max(int(round(job.runtime_s / self.tick_s)), 1)
+        return JobResult(
+            job=job,
+            intervals=[stepper.tick() for _ in range(n_ticks)],
+            latencies_s=stepper.read_latencies(),
+        )
 
     def stepper(self, job: FioJob) -> JobStepper:
-        """Stateful tick-at-a-time execution (the job-file runner's path).
+        """Tick-at-a-time execution of ``job``.
 
-        ``run()`` executes a whole job in one call with vectorised noise
-        draws and is pinned bit-identical by the Fig. 12 traces; the
-        stepper draws noise per tick so a caller can interleave
-        steady-state checks and early termination between ticks.  FTL
-        state advances through the same write path either way.
+        :meth:`run` ticks one for the job's whole runtime; the job-file
+        runner ticks one itself so it can check steady state and stop
+        early between ticks.
         """
         return JobStepper(self, job)
 
     # ------------------------------------------------------------------ #
-    # Reads: steady performance model + measurement noise                #
+    # Reads: per-request latency model                                   #
     # ------------------------------------------------------------------ #
-
-    def _run_read(self, job: FioJob) -> JobResult:
-        result = JobResult(job=job)
-        bw = self.ssd.read_bandwidth(job.block_bytes, job.iodepth)
-        power = self.ssd.read_power(bw, job.block_bytes)
-        n_ticks = max(int(round(job.runtime_s / self.tick_s)), 1)
-        bw_noise = self.rng.normal(0.0, 0.015 * bw, size=n_ticks)
-        p_noise = self.rng.normal(0.0, 0.02, size=n_ticks)
-        for k in range(n_ticks):
-            tick_bw = max(bw + bw_noise[k], 0.0)
-            result.intervals.append(
-                IntervalSample(
-                    time_s=(k + 1) * self.tick_s,
-                    bandwidth_bps=tick_bw,
-                    iops=tick_bw / job.block_bytes,
-                    power_watts=max(power + p_noise[k], self.ssd.spec.idle_watts),
-                )
-            )
-        result.latencies_s = self._read_latencies(job, bw)
-        return result
 
     def _read_latencies(
         self, job: FioJob, bandwidth: float, n_requests: int = 4096
     ) -> np.ndarray:
-        """Per-request completion latencies for a random-read job.
+        """Per-request completion latencies for a job's random reads.
 
         Service time is the flash command overhead plus the transfer; queue
         wait grows with device utilisation (an M/D/1-style tail), which is
@@ -182,80 +165,6 @@ class IoEngine:
             backlog_pages = internal_pages - budget
             internal_pages = budget
         return host_pages, internal_pages, seq_cursor, backlog_pages
-
-    def _run_write(self, job: FioJob) -> JobResult:
-        spec = self.ssd.spec
-        result = JobResult(job=job)
-        n_ticks = max(int(round(job.runtime_s / self.tick_s)), 1)
-        seq_cursor = 0
-        # Internal page programs (GC bursts) that exceeded a tick's NAND
-        # budget stall host writes in the following ticks.
-        backlog_pages = 0
-        for k in range(n_ticks):
-            budget = self.ssd.write_budget_pages(self.tick_s)
-            host_pages, internal_pages, seq_cursor, backlog_pages = self._write_tick(
-                job, self.tick_s, seq_cursor, backlog_pages
-            )
-            busy = min(internal_pages / budget, 1.0)
-            bw = host_pages * spec.page_bytes / self.tick_s
-            wa = (internal_pages + backlog_pages) / max(host_pages, 1)
-            result.intervals.append(
-                IntervalSample(
-                    time_s=(k + 1) * self.tick_s,
-                    bandwidth_bps=bw,
-                    iops=bw / job.block_bytes,
-                    power_watts=self.ssd.write_power(busy)
-                    + float(self.rng.normal(0.0, 0.03)),
-                    write_amplification=wa,
-                )
-            )
-        return result
-
-    # ------------------------------------------------------------------ #
-    # Mixed workloads: the device time-shares reads and writes           #
-    # ------------------------------------------------------------------ #
-
-    def _run_mixed(self, job: FioJob) -> JobResult:
-        spec = self.ssd.spec
-        result = JobResult(job=job)
-        read_fraction = job.read_fraction
-        write_fraction = 1.0 - read_fraction
-        full_read_bw = self.ssd.read_bandwidth(job.block_bytes, job.iodepth)
-        n_ticks = max(int(round(job.runtime_s / self.tick_s)), 1)
-        seq_cursor = 0
-        backlog_pages = 0
-        for k in range(n_ticks):
-            write_window = self.tick_s * write_fraction
-            host_pages = internal_pages = 0
-            busy = 0.0
-            if write_fraction > 0:
-                budget = self.ssd.write_budget_pages(write_window)
-                host_pages, internal_pages, seq_cursor, backlog_pages = (
-                    self._write_tick(job, write_window, seq_cursor, backlog_pages)
-                )
-                busy = min(internal_pages / budget, 1.0)
-            read_bw = full_read_bw * read_fraction
-            write_bw = host_pages * spec.page_bytes / self.tick_s
-            read_power = self.ssd.read_power(full_read_bw, job.block_bytes)
-            power = (
-                read_fraction * read_power
-                + write_fraction * self.ssd.write_power(busy)
-                + float(self.rng.normal(0.0, 0.03))
-            )
-            total_bw = read_bw + write_bw
-            result.intervals.append(
-                IntervalSample(
-                    time_s=(k + 1) * self.tick_s,
-                    bandwidth_bps=total_bw,
-                    iops=total_bw / job.block_bytes,
-                    power_watts=max(power, spec.idle_watts),
-                    write_amplification=(internal_pages + backlog_pages)
-                    / max(host_pages, 1),
-                    read_bandwidth_bps=read_bw,
-                    write_bandwidth_bps=write_bw,
-                )
-            )
-        return result
 
     def _pick_lpns(
         self, job: FioJob, n_pages: int, seq_cursor: int

@@ -72,7 +72,7 @@ from repro.core.setup import SimulatedSetup
 from repro.dut.base import TraceRail
 from repro.dut.ssd import Ssd, SsdSpec
 from repro.ftl import FTL_POLICIES
-from repro.storage.engine import IntervalSample, IoEngine, JobResult, precondition
+from repro.storage.engine import IntervalSample, IoEngine, JobResult, JobStepper, precondition
 from repro.storage.fio import FioJob
 
 #: Keys whose comma-separated values expand into a parameter grid.
@@ -392,7 +392,8 @@ class JobRunner:
             ssd.counters.internal_pages_written,
             ssd.counters.lookup_ops,
         )
-        intervals, steady = self._tick_until_done(spec, engine)
+        stepper = engine.stepper(spec.job)
+        intervals, steady = self._tick_until_done(spec, stepper)
         host, internal, lookups = (
             ssd.counters.host_pages_written - counters_before[0],
             ssd.counters.internal_pages_written - counters_before[1],
@@ -447,7 +448,6 @@ class JobRunner:
                 outcome.energy_j / total_ios if total_ios > 0 else float("inf")
             )
             if job.read_fraction > 0:
-                stepper = engine.stepper(job)
                 lat = stepper.read_latencies()
                 outcome.latency_percentiles_us = {
                     q: float(np.percentile(lat, q) * 1e6) for q in (50, 95, 99)
@@ -460,14 +460,14 @@ class JobRunner:
         return outcome
 
     def _tick_until_done(
-        self, spec: JobSpec, engine: IoEngine
+        self, spec: JobSpec, stepper: JobStepper
     ) -> tuple[list[IntervalSample], dict | None]:
-        """Run the job body, checking steady state at 1-second boundaries."""
+        """Tick the job body, checking steady state at 1-second boundaries."""
         if spec.runtime_s <= 0:
             return [], None
-        stepper = engine.stepper(spec.job)
-        ticks_per_s = max(int(round(1.0 / engine.tick_s)), 1)
-        n_ticks = max(int(round(spec.runtime_s / engine.tick_s)), 1)
+        tick_s = stepper.engine.tick_s
+        ticks_per_s = max(int(round(1.0 / tick_s)), 1)
+        n_ticks = max(int(round(spec.runtime_s / tick_s)), 1)
         intervals: list[IntervalSample] = []
         ss = spec.steady_state
         steady: dict | None = None

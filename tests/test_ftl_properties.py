@@ -27,6 +27,7 @@ from repro.common.errors import MeasurementError
 from repro.common.units import KIB, MIB
 from repro.dut.ssd import Ssd, SsdSpec
 from repro.ftl import FTL_POLICIES, INVALID, FtlPolicy, GroupMapFtl
+from repro.ftl.base import _sorted_unique
 
 SPEC = SsdSpec(logical_bytes=8 * MIB)
 N_PAGES = SPEC.logical_pages
@@ -124,6 +125,21 @@ def test_duplicate_lpns_last_write_wins(seed, n):
         ssd.check_invariants()
         assert ssd.mapped_pages == unique.size, name
         assert np.array_equal(np.flatnonzero(ssd.l2p >= 0), unique), name
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    values=st.lists(st.integers(-64, 64), max_size=300),
+    rows=st.sampled_from([1, 2, 3]),
+)
+def test_sorted_unique_matches_np_unique(values, rows):
+    """The write and trim paths' unique is ``np.unique``, array and dtype."""
+    array = np.asarray(values, dtype=np.int64)
+    array = array[: array.size - array.size % rows].reshape(rows, -1)
+    got = _sorted_unique(array)
+    want = np.unique(array)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("policy", sorted(FTL_POLICIES))

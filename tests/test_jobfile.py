@@ -7,11 +7,13 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import MIB
-from repro.dut.ssd import SsdSpec
+from repro.dut.ssd import Ssd, SsdSpec
 from repro.observability import MetricsRegistry
-from repro.storage.fio import parse_size
+from repro.storage.engine import IoEngine
+from repro.storage.fio import FioJob, parse_size
 from repro.storage.jobfile import (
     JobRunner,
+    JobSpec,
     SteadyState,
     parse_jobfile,
     run_jobfile,
@@ -243,6 +245,47 @@ class TestJobRunner:
     def test_runner_rejects_empty_speclist(self):
         with pytest.raises(ConfigurationError, match="no jobs"):
             JobRunner([])
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        FioJob(rw="read", bs="16k", runtime_s=1.0),
+        FioJob(rw="write", bs="16k", runtime_s=1.0),
+        FioJob(rw="randread", bs="16k", runtime_s=1.0),
+        FioJob(rw="randwrite", bs="16k", runtime_s=1.0),
+        FioJob(rw="rw", bs="16k", runtime_s=1.0),
+        FioJob(rw="randrw", bs="16k", rwmixread=0, runtime_s=1.0),
+        FioJob(rw="randrw", bs="16k", rwmixread=50, runtime_s=1.0),
+        FioJob(rw="randrw", bs="16k", rwmixread=100, runtime_s=1.0),
+    ],
+    ids=lambda job: f"{job.rw}{job.rwmixread if job.is_mixed else ''}",
+)
+def test_engine_run_matches_the_job_runner(job):
+    """Fig. 12's ``IoEngine.run`` and psfio's runner run one job body.
+
+    The same job on twin drives gives the same intervals, mapping
+    lookups and read-latency percentiles either way.
+    """
+    spec = SsdSpec(logical_bytes=16 * MIB)
+    ssd = Ssd(spec, seed=3)
+    lookups_before = ssd.counters.lookup_ops
+    result = IoEngine(ssd, seed=3).run(job)
+    (outcome,) = JobRunner(
+        [JobSpec(job=job, runtime_s=job.runtime_s)],
+        ssd_spec=spec,
+        seed=3,
+        keep_intervals=True,
+    ).run()
+    assert outcome.intervals == result.intervals
+    assert outcome.lookup_ops == ssd.counters.lookup_ops - lookups_before
+    if job.read_fraction == 0:
+        assert result.latencies_s.size == 0
+        assert outcome.latency_percentiles_us == {}
+    else:
+        assert outcome.latency_percentiles_us == {
+            q: v * 1e6 for q, v in result.latency_percentiles().items()
+        }
 
 
 class TestPsfioCli:
