@@ -178,7 +178,9 @@ def run_ftl_comparison(
             }
         )
         result.series[f"{policy}/bandwidth_bps"] = bw
-        result.series[f"{policy}/power_w"] = np.array([s.power_watts for s in outcome.intervals])
+        result.series[f"{policy}/power_w"] = np.array(
+            [s.power_watts for s in outcome.intervals]
+        )
         result.series[f"{policy}/joules_per_io"] = np.array([outcome.joules_per_io])
         result.series[f"{policy}/map_bytes"] = np.array([float(outcome.map_bytes)])
     result.notes.append(

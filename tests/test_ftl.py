@@ -107,10 +107,9 @@ class TestPageMapPin:
 
     The fixture was generated from the tree *before* the strategy
     extraction; these hashes failing means the refactor changed
-    behaviour, not just structure.  The one exception is the read job's
-    bandwidth and power traces, re-pinned when ``IoEngine.run`` moved
-    onto the job-file stepper, which draws a pure read's bandwidth and
-    power noise per tick, interleaved, instead of as two vectors.
+    behaviour, not just structure.  The read job's bandwidth and power
+    hashes are the exception: they come from the job-file stepper, which
+    draws a pure read's bandwidth and power noise per tick, interleaved.
     """
 
     def test_churn_workload_state_is_bit_identical(self):
@@ -144,9 +143,9 @@ class TestGroupMapPin:
     ``data/ftl_group_pin.json`` was generated from the tree before the
     group policy's write path was vectorised; a mismatch means the
     vectorised path programs pages differently from the per-group loop.
-    The read job's traces were re-pinned as the page pin's were, and the
-    read and mixed jobs' ``lookup_ops`` when Fig. 12's reads began to
-    charge mapping lookups, as psfio's do.
+    The read job's trace hashes and the read and mixed jobs'
+    ``lookup_ops`` come from the job-file stepper, whose reads charge
+    mapping lookups.
     """
 
     def test_churn_workload_state_is_bit_identical(self):
