@@ -8,20 +8,11 @@ modified riser.
 Run:  python examples/ssd_power_study.py
 """
 
-import numpy as np
-
 from repro.common.units import GIB
 from repro.core.setup import SimulatedSetup
-from repro.dut.base import TraceRail
 from repro.dut.ssd import Ssd, SsdSpec
-from repro.storage import FioJob, IoEngine, precondition
-
-
-def measure_with_ps3(setup, outcome, duration):
-    rail = TraceRail(outcome.power_trace(volts=3.3), offset=setup.ps.source.clock.now)
-    setup.connect(0, rail)
-    block = setup.ps.pump_seconds(duration)
-    return float(block.pair_power(0).mean())
+from repro.storage import FioJob, IoEngine
+from repro.storage.jobfile import measure_trace
 
 
 def main() -> None:
@@ -34,19 +25,15 @@ def main() -> None:
     for bs in ("4k", "16k", "64k", "256k", "1m", "4m"):
         job = FioJob(rw="randread", bs=bs, iodepth=4, runtime_s=2.0)
         outcome = engine.run(job)
-        power = measure_with_ps3(setup, outcome, 2.0)
+        power = measure_trace(setup, outcome.power_trace(volts=3.3), 2.0)
         print(f"{bs:>6} {outcome.mean_bandwidth / 1e6:9.0f} MB/s {power:8.2f} W")
 
     print("\nsustained random 4 KiB writes after preconditioning:")
-    ssd.format()
-    precondition(ssd, engine, bs="128k")
-    ssd.idle_flush()
-    outcome = engine.run(FioJob(rw="randwrite", bs="4k", runtime_s=30.0))
+    engine.run(FioJob(rw="write", runtime_s=0, pre_format=True, precondition_passes=1.0))
+    outcome = engine.run(FioJob(rw="randwrite", bs="4k", runtime_s=30.0, stonewall=True))
 
-    ticks = int(round(1.0 / engine.tick_s))
-    n_seconds = len(outcome.intervals) // ticks
-    bw_1s = outcome.bandwidth[: n_seconds * ticks].reshape(n_seconds, ticks).mean(1)
-    pw_1s = outcome.power[: n_seconds * ticks].reshape(n_seconds, ticks).mean(1)
+    bw_1s, pw_1s = outcome.per_second()
+    n_seconds = bw_1s.size
     for second in range(0, n_seconds, 5):
         bar = "#" * int(bw_1s[second] / 1e6 / 20)
         print(f"  t={second:3d}s  {bw_1s[second] / 1e6:7.0f} MB/s "

@@ -38,7 +38,7 @@ from repro.hardware.baseboard import Baseboard
 from repro.hardware.modules import SensorModule, module_spec
 from repro.hardware.powersensor2 import PowerSensor2
 from repro.hardware.sensors import ExternalField
-from repro.storage.engine import IoEngine, precondition
+from repro.storage.engine import IoEngine
 from repro.storage.fio import FioJob
 
 
@@ -258,16 +258,14 @@ def gc_hysteresis_study(seed: int) -> ExperimentResult:
         )
         ssd = Ssd(spec, seed=seed)
         engine = IoEngine(ssd, seed=seed)
-        precondition(ssd, engine)
-        ssd.idle_flush()
-        outcome = engine.run(FioJob(rw="randwrite", bs="4k", runtime_s=20.0))
+        engine.run(FioJob(rw="write", runtime_s=0, precondition_passes=1.0))
+        outcome = engine.run(
+            FioJob(rw="randwrite", bs="4k", runtime_s=20.0, stonewall=True)
+        )
         # Aggregate to 1 s granularity (as Fig. 12b plots) before comparing.
-        ticks = int(round(1.0 / engine.tick_s))
-        n_seconds = len(outcome.intervals) // ticks
-        bw_all = outcome.bandwidth[: n_seconds * ticks].reshape(n_seconds, ticks).mean(1)
-        pw_all = outcome.power[: n_seconds * ticks].reshape(n_seconds, ticks).mean(1)
-        bw = bw_all[n_seconds // 3 :]
-        power = pw_all[n_seconds // 3 :]
+        bw_all, pw_all = outcome.per_second()
+        bw = bw_all[bw_all.size // 3 :]
+        power = pw_all[pw_all.size // 3 :]
         result.rows.append(
             {
                 "gc policy": label,

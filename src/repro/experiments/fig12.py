@@ -26,10 +26,13 @@ from repro.dut.ssd import Ssd, SsdSpec
 from repro.campaign import registry
 from repro.campaign.registry import Param
 from repro.experiments.common import ExperimentResult
-from repro.storage.engine import IoEngine, precondition
+from repro.storage.engine import IoEngine
 from repro.storage.fio import FioJob
-from repro.storage.jobfile import JobRunner, JobSpec, measure_trace
+from repro.storage.jobfile import JobRunner, measure_trace
 
+#: Format and one sequential 128k preconditioning pass, as the paper
+#: prepares the drive before its write study.
+PREP_JOB = FioJob(rw="write", runtime_s=0, pre_format=True, precondition_passes=1.0)
 READ_SIZES = ("1k", "4k", "16k", "64k", "128k", "256k", "512k", "1m", "2m", "4m")
 #: The mapping policies the FTL comparison runs, in row order.
 COMPARED_POLICIES = ("page", "group", "compressed", "hybrid")
@@ -74,21 +77,16 @@ def run(
 
     # Panel (b): format, precondition sequentially, then sustained random
     # 4 KiB writes to steady state.
-    ssd.format()
-    precondition(ssd, engine, bs="128k")
-    ssd.idle_flush()
-    job = FioJob(rw="randwrite", bs="4k", iodepth=4, runtime_s=write_runtime_s)
-    outcome = engine.run(job)
+    engine.run(PREP_JOB)
+    outcome = engine.run(
+        FioJob(rw="randwrite", bs="4k", iodepth=4, runtime_s=write_runtime_s,
+               stonewall=True)
+    )
     measured = measure_trace(setup, outcome.power_trace(volts=3.3), write_runtime_s)
     setup.close()
 
-    # Aggregate to 1-second granularity, as the paper plots.
-    ticks_per_s = int(round(1.0 / engine.tick_s))
-    n_seconds = len(outcome.intervals) // ticks_per_s
-    bw = outcome.bandwidth[: n_seconds * ticks_per_s].reshape(n_seconds, ticks_per_s)
-    pw = outcome.power[: n_seconds * ticks_per_s].reshape(n_seconds, ticks_per_s)
-    bw_1s = bw.mean(axis=1)
-    pw_1s = pw.mean(axis=1)
+    bw_1s, pw_1s = outcome.per_second()
+    n_seconds = bw_1s.size
     result.series["write/time_s"] = np.arange(1, n_seconds + 1, dtype=float)
     result.series["write/bandwidth_bps"] = bw_1s
     result.series["write/power_w"] = pw_1s
@@ -153,12 +151,9 @@ def run_ftl_comparison(
     result = ExperimentResult(name="Fig. 12 (extended): energy per IO by FTL policy")
     spec = SsdSpec(logical_bytes=logical_bytes)
     jobs = [
-        JobSpec(job=FioJob(rw="write", bs="128k"), pre_format=True, precondition_passes=1.0),
-        JobSpec(
-            job=FioJob(rw="randwrite", bs="4k", iodepth=4, runtime_s=write_runtime_s),
-            stonewall=True,
-            runtime_s=write_runtime_s,
-        ),
+        PREP_JOB,
+        FioJob(rw="randwrite", bs="4k", iodepth=4, runtime_s=write_runtime_s,
+               stonewall=True),
     ]
     for policy in COMPARED_POLICIES:
         _, outcome = JobRunner(

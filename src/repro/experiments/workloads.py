@@ -54,9 +54,8 @@ def run(
             f"precondition={precondition:g}",
         ]
     )
-    specs = parse_jobfile(jobtext)
     runner = JobRunner(
-        specs,
+        parse_jobfile(jobtext),
         ftl=ftl,
         ssd_spec=SsdSpec(logical_bytes=capacity_mib * MIB),
         seed=seed,

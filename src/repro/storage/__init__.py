@@ -7,12 +7,10 @@ from repro.storage.engine import (
     JobStepper,
     precondition,
 )
-from repro.storage.fio import FioJob, parse_size
+from repro.storage.fio import FioJob, SteadyState, parse_size
 from repro.storage.jobfile import (
     JobOutcome,
     JobRunner,
-    JobSpec,
-    SteadyState,
     load_jobfile,
     parse_jobfile,
     run_jobfile,
@@ -21,16 +19,15 @@ from repro.storage.jobfile import (
 
 __all__ = [
     "FioJob",
+    "SteadyState",
     "parse_size",
     "IoEngine",
     "JobResult",
     "JobStepper",
     "IntervalSample",
     "precondition",
-    "JobSpec",
     "JobOutcome",
     "JobRunner",
-    "SteadyState",
     "parse_jobfile",
     "load_jobfile",
     "run_jobfile",

@@ -1,20 +1,30 @@
-"""fio-style job specifications.
+"""fio-style job descriptions.
 
 The paper drives its SSD workloads with fio using direct I/O and the
-io_uring engine (Section V-C).  :class:`FioJob` captures the knobs those
+io_uring engine (Section V-C).  :class:`FioJob` is the one description
+of a job, whether a job file's section or built in code: the knobs those
 experiments use — read/write pattern, block size, queue depth, runtime —
-with fio's human-readable size syntax ("4k", "1m").
+with fio's human-readable size syntax ("4k", "1m"), the directives
+:meth:`~repro.storage.engine.IoEngine.run` carries out before the job
+body (stonewall, format, preconditioning), and fio's steady-state
+termination (:class:`SteadyState`).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import GIB, KIB, MIB
 
 PATTERNS = ("read", "write", "randread", "randwrite", "rw", "randrw")
+
+#: Steady-state metrics (fio's ``steadystate=`` grammar).
+SS_METRICS = ("iops", "bw")
 
 # An ``i`` is only legal as part of a binary-prefix spelling (kib/mib/
 # gib): accepting a dangling ``i`` made "4ib" parse as 4 bytes, which
@@ -37,31 +47,118 @@ def parse_size(text: str | int) -> int:
 
 
 @dataclass(frozen=True)
+class SteadyState:
+    """A parsed ``ss=`` criterion: terminate when attained."""
+
+    metric: str  # "iops" | "bw"
+    mode: str  # "slope" | "dev"
+    threshold: float  # fraction of the window mean
+    window_s: float = 4.0  # ss_dur
+    ramp_s: float = 0.0  # ss_ramp
+
+    @classmethod
+    def parse(
+        cls, text: str, window_s: float = 4.0, ramp_s: float = 0.0
+    ) -> SteadyState:
+        """Parse ``iops_slope:0.3%`` / ``bw:5%`` style criteria."""
+        head, sep, value = text.strip().partition(":")
+        if not sep or not value:
+            raise ConfigurationError(
+                f"steady-state spec {text!r} must be metric:threshold"
+            )
+        metric, _, mode = head.partition("_")
+        mode = mode or "dev"
+        if metric not in SS_METRICS or mode not in ("slope", "dev"):
+            raise ConfigurationError(
+                f"steady-state metric {head!r} must be one of "
+                "iops, bw, iops_slope, bw_slope"
+            )
+        value = value.strip()
+        try:
+            threshold = float(value[:-1] if value.endswith("%") else "") / 100.0
+        except ValueError:
+            raise ConfigurationError(
+                f"steady-state threshold {value!r} must be a percentage"
+            ) from None
+        if not threshold > 0:
+            raise ConfigurationError("steady-state threshold must be positive")
+        if window_s <= 0:
+            raise ConfigurationError("ss_dur must be positive")
+        return cls(
+            metric=metric,
+            mode=mode,
+            threshold=threshold,
+            window_s=window_s,
+            ramp_s=max(ramp_s, 0.0),
+        )
+
+    @property
+    def criterion(self) -> str:
+        mode = f"_{self.mode}" if self.mode == "slope" else ""
+        return f"{self.metric}{mode}:{self.threshold * 100:g}%"
+
+    def check(self, window: np.ndarray) -> tuple[bool, float]:
+        """Evaluate one rolling window of per-second means.
+
+        Returns ``(attained, value)`` where ``value`` is the measured
+        slope (fraction of mean per second) or max deviation (fraction
+        of mean), mirroring what fio prints as ``iops slope``/``mean
+        dev``.
+        """
+        mean = float(window.mean())
+        if mean <= 0.0:
+            return False, float("inf")
+        if self.mode == "slope":
+            x = np.arange(window.size, dtype=float)
+            slope = float(np.polyfit(x, window, 1)[0])
+            value = abs(slope) / mean
+        else:
+            value = float(np.abs(window - mean).max()) / mean
+        return value <= self.threshold, value
+
+
+@dataclass(frozen=True)
 class FioJob:
-    """One fio job: what to do to the device and for how long."""
+    """One fio job: the directives before it, what to do, for how long."""
 
     rw: str  # read / write / randread / randwrite / rw / randrw
     bs: str | int = "4k"  # block (request) size
     iodepth: int = 4
+    #: Simulated seconds of job body; 0 only for a pure prep job.
     runtime_s: float = 10.0
-    ioengine: str = "io_uring"
-    direct: bool = True
     name: str = "job"
     #: Read share of a mixed (rw / randrw) workload, percent.
     rwmixread: int = 50
+    #: Barrier: the SLC cache drains (``Ssd.idle_flush``) before the job.
+    stonewall: bool = False
+    #: NVMe format before the job body.
+    pre_format: bool = False
+    #: Sequential preconditioning passes over the LBA space, and their
+    #: request size, before the job body.
+    precondition_passes: float = 0.0
+    precondition_bs: str = "128k"
+    #: ``ss=``: stop the body early once attained (``runtime_s`` caps it).
+    steady_state: SteadyState | None = None
 
     def __post_init__(self) -> None:
+        problem = None
         if self.rw not in PATTERNS:
-            raise ConfigurationError(
-                f"rw must be one of {PATTERNS}, got {self.rw!r}"
-            )
-        if self.iodepth < 1:
-            raise ConfigurationError("iodepth must be >= 1")
-        if self.runtime_s <= 0:
-            raise ConfigurationError("runtime must be positive")
-        if not 0 <= self.rwmixread <= 100:
-            raise ConfigurationError("rwmixread must be 0..100")
-        parse_size(self.bs)  # validate eagerly
+            problem = f"rw must be one of {PATTERNS}, got {self.rw!r}"
+        elif self.iodepth < 1:
+            problem = "iodepth must be >= 1"
+        elif not math.isfinite(self.runtime_s) or self.runtime_s < 0:
+            problem = "runtime must be >= 0"
+        elif not 0 <= self.rwmixread <= 100:
+            problem = "rwmixread must be 0..100"
+        elif not math.isfinite(self.precondition_passes) or self.precondition_passes < 0:
+            problem = "precondition must be >= 0"
+        elif self.runtime_s == 0 and not (self.pre_format or self.precondition_passes):
+            problem = "runtime=0 needs pre_format or precondition"
+        if problem:
+            raise ConfigurationError(f"job [{self.name}]: {problem}")
+        # Validate eagerly.
+        parse_size(self.bs)
+        parse_size(self.precondition_bs)
 
     @property
     def block_bytes(self) -> int:

@@ -29,7 +29,9 @@ file is fio's INI dialect::
     bs=4k,64k,1m
     iodepth=1,8
 
-Supported semantics:
+Each section expands into :class:`~repro.storage.fio.FioJob` instances,
+the same job type Fig. 12 builds in code, and every job runs through
+:meth:`~repro.storage.engine.IoEngine.run`.  Supported semantics:
 
 * ``[global]`` defaults merged into every job section;
 * **grids** — comma-separated ``rw``/``bs``/``iodepth``/``rwmixread``
@@ -41,15 +43,19 @@ Supported semantics:
   (:meth:`~repro.dut.ssd.Ssd.idle_flush`), marking a fresh stage
   boundary exactly where fio would barrier;
 * ``pre_format`` / ``precondition=<passes>`` — NVMe format and the
-  paper's sequential preconditioning (reusing
-  :func:`repro.storage.engine.precondition`) before the job body; a job
+  paper's sequential preconditioning
+  (:func:`repro.storage.engine.precondition`) before the job body; a job
   may be *only* preconditioning (``runtime=0``);
 * ``ss=`` — fio steady-state detection: ``iops_slope:0.3%`` /
   ``bw_slope:…`` terminate when the least-squares slope of the rolling
   ``ss_dur``-second window of 1-second means falls under the threshold
   (as a fraction of the window mean per second); ``iops:…`` / ``bw:…``
   use fio's max-deviation-from-mean criterion.  ``ss_ramp`` excludes
-  warm-up seconds.  ``runtime`` stays the hard cap.
+  warm-up seconds.  ``runtime`` stays the hard cap;
+* ``ioengine`` / ``direct`` — accepted for fio compatibility, no effect.
+
+A malformed value (``iodepth=four``, ``runtime=ten``) is a
+:class:`~repro.common.errors.ConfigurationError` naming the job and key.
 
 Every job is measured through the simulated PowerSensor3 bench (3.3 V
 slot rail, as in the paper's Fig. 11 riser setup): each outcome reports
@@ -61,10 +67,11 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
+from typing import Any
 
 from repro.common.errors import ConfigurationError
 from repro.common.grid import expand_grid
@@ -72,129 +79,46 @@ from repro.core.setup import SimulatedSetup
 from repro.dut.base import TraceRail
 from repro.dut.ssd import Ssd, SsdSpec
 from repro.ftl import FTL_POLICIES
-from repro.storage.engine import IntervalSample, IoEngine, JobResult, JobStepper, precondition
-from repro.storage.fio import FioJob
+from repro.storage.engine import TICK_S, IntervalSample, IoEngine, JobResult
+from repro.storage.fio import FioJob, SteadyState
 
 #: Keys whose comma-separated values expand into a parameter grid.
 GRID_KEYS = ("rw", "bs", "iodepth", "rwmixread")
 
-#: Steady-state metrics and criteria (fio's ``steadystate=`` grammar).
-SS_METRICS = ("iops", "bw")
+_KNOWN_KEYS = {
+    "name", "rw", "bs", "iodepth", "rwmixread", "runtime", "stonewall",
+    "pre_format", "precondition", "precondition_bs", "ss", "ss_dur",
+    "ss_ramp",
+    # Accepted for fio compatibility; the simulated drive has one engine.
+    "ioengine", "direct",
+}
 
 
-@dataclass(frozen=True)
-class SteadyState:
-    """A parsed ``ss=`` criterion: terminate when attained."""
-
-    metric: str  # "iops" | "bw"
-    mode: str  # "slope" | "dev"
-    threshold: float  # fraction of the window mean
-    window_s: float = 4.0  # ss_dur
-    ramp_s: float = 0.0  # ss_ramp
-
-    @classmethod
-    def parse(
-        cls, text: str, window_s: float = 4.0, ramp_s: float = 0.0
-    ) -> SteadyState:
-        """Parse ``iops_slope:0.3%`` / ``bw:5%`` style criteria."""
-        head, sep, value = text.strip().partition(":")
-        if not sep or not value:
-            raise ConfigurationError(
-                f"steady-state spec {text!r} must be metric:threshold"
-            )
-        metric, _, mode = head.partition("_")
-        mode = mode or "dev"
-        if metric not in SS_METRICS or mode not in ("slope", "dev"):
-            raise ConfigurationError(
-                f"steady-state metric {head!r} must be one of "
-                "iops, bw, iops_slope, bw_slope"
-            )
-        value = value.strip()
-        if not value.endswith("%"):
-            raise ConfigurationError(
-                f"steady-state threshold {value!r} must be a percentage"
-            )
-        threshold = float(value[:-1]) / 100.0
-        if threshold <= 0:
-            raise ConfigurationError("steady-state threshold must be positive")
-        if window_s <= 0:
-            raise ConfigurationError("ss_dur must be positive")
-        return cls(
-            metric=metric,
-            mode=mode,
-            threshold=threshold,
-            window_s=window_s,
-            ramp_s=max(ramp_s, 0.0),
-        )
-
-    @property
-    def criterion(self) -> str:
-        mode = f"_{self.mode}" if self.mode == "slope" else ""
-        return f"{self.metric}{mode}:{self.threshold * 100:g}%"
-
-    def check(self, window: np.ndarray) -> tuple[bool, float]:
-        """Evaluate one rolling window of per-second means.
-
-        Returns ``(attained, value)`` where ``value`` is the measured
-        slope (fraction of mean per second) or max deviation (fraction
-        of mean), mirroring what fio prints as ``iops slope``/``mean
-        dev``.
-        """
-        mean = float(window.mean())
-        if mean <= 0.0:
-            return False, float("inf")
-        if self.mode == "slope":
-            x = np.arange(window.size, dtype=float)
-            slope = float(np.polyfit(x, window, 1)[0])
-            value = abs(slope) / mean
-        else:
-            value = float(np.abs(window - mean).max()) / mean
-        return value <= self.threshold, value
+def _number(
+    section: str, key: str, text: Any, kind: Callable[[Any], float] = float
+) -> Any:
+    """``text`` as a finite ``kind``; a malformed value names job and key."""
+    try:
+        value = kind(text)
+        if math.isfinite(value):
+            return value
+    except (ValueError, OverflowError):
+        pass
+    expected = "an integer" if kind is int else "a number"
+    raise ConfigurationError(f"job [{section}]: {key}={text!r} is not {expected}")
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """One expanded job: the fio knobs plus runner directives."""
-
-    job: FioJob
-    stonewall: bool = False
-    pre_format: bool = False
-    precondition_passes: float = 0.0
-    precondition_bs: str = "128k"
-    steady_state: SteadyState | None = None
-    #: Runtime 0 is legal for pure preconditioning stages.
-    runtime_s: float = 0.0
-
-    @property
-    def name(self) -> str:
-        return self.job.name
-
-
-def _parse_runtime(text: str) -> float:
-    text = text.strip().lower()
-    if text.endswith("s"):
-        text = text[:-1]
-    runtime = float(text)
-    if runtime < 0:
-        raise ConfigurationError("runtime must be >= 0")
-    return runtime
-
-
-def _parse_flag(text: str | None) -> bool:
+def _flag(options: dict, key: str) -> bool:
+    if key not in options:
+        return False
+    text = options[key]
     if text is None:  # bare key, fio style: `stonewall`
         return True
     return text.strip().lower() not in ("0", "false", "no", "")
 
 
-_KNOWN_KEYS = {
-    "name", "rw", "bs", "iodepth", "rwmixread", "runtime", "ioengine",
-    "direct", "stonewall", "pre_format", "precondition", "precondition_bs",
-    "ss", "ss_dur", "ss_ramp",
-}
-
-
-def parse_jobfile(text: str) -> list[JobSpec]:
-    """Parse a job file's text into expanded :class:`JobSpec` instances.
+def parse_jobfile(text: str) -> list[FioJob]:
+    """Parse a job file's text into expanded :class:`FioJob` instances.
 
     Unknown keys are rejected — a silently ignored ``iodpeth=32`` is a
     measurement error waiting to be published.
@@ -212,7 +136,7 @@ def parse_jobfile(text: str) -> list[JobSpec]:
         raise ConfigurationError("job file defines no job sections")
     defaults = dict(parser["global"]) if parser.has_section("global") else {}
 
-    specs: list[JobSpec] = []
+    jobs: list[FioJob] = []
     for section in sections:
         options = {**defaults, **dict(parser[section])}
         unknown = set(options) - _KNOWN_KEYS
@@ -220,15 +144,15 @@ def parse_jobfile(text: str) -> list[JobSpec]:
             raise ConfigurationError(
                 f"job [{section}]: unknown key(s) {sorted(unknown)}"
             )
-        specs.extend(_expand_section(section, options))
-    return specs
+        jobs.extend(_expand_section(section, options))
+    return jobs
 
 
-def load_jobfile(path: str | Path) -> list[JobSpec]:
+def load_jobfile(path: str | Path) -> list[FioJob]:
     return parse_jobfile(Path(path).read_text())
 
 
-def _expand_section(section: str, options: dict) -> list[JobSpec]:
+def _expand_section(section: str, options: dict) -> list[FioJob]:
     if "rw" not in options or options["rw"] is None:
         raise ConfigurationError(f"job [{section}] is missing rw=")
     # Only grid keys with more than one value mark the job name; single
@@ -240,48 +164,37 @@ def _expand_section(section: str, options: dict) -> list[JobSpec]:
         f"job [{section}]",
     )
 
-    stonewall = _parse_flag(options["stonewall"]) if "stonewall" in options else False
-    pre_format = _parse_flag(options["pre_format"]) if "pre_format" in options else False
-    passes = float(options.get("precondition") or 0.0)
-    if passes < 0:
-        raise ConfigurationError(f"job [{section}]: precondition must be >= 0")
-    runtime = _parse_runtime(options.get("runtime") or "10")
-    if runtime == 0 and passes == 0 and not pre_format:
-        raise ConfigurationError(
-            f"job [{section}]: runtime=0 needs pre_format or precondition"
-        )
+    runtime = (options.get("runtime") or "10").strip().lower()
+    runtime = _number(section, "runtime", runtime[:-1] if runtime.endswith("s") else runtime)
+    passes = _number(section, "precondition", options.get("precondition") or 0.0)
     steady = None
     if "ss" in options:
         steady = SteadyState.parse(
             options["ss"],
-            window_s=float(options.get("ss_dur") or 4.0),
-            ramp_s=float(options.get("ss_ramp") or 0.0),
+            window_s=_number(section, "ss_dur", options.get("ss_dur") or 4.0),
+            ramp_s=_number(section, "ss_ramp", options.get("ss_ramp") or 0.0),
         )
-
-    specs = []
-    for name, chosen in cells:
-        job = FioJob(
+    return [
+        FioJob(
             rw=chosen.get("rw", options["rw"]),
             bs=chosen.get("bs", options.get("bs") or "4k"),
-            iodepth=int(chosen.get("iodepth", options.get("iodepth") or 4)),
-            rwmixread=int(chosen.get("rwmixread", options.get("rwmixread") or 50)),
-            runtime_s=max(runtime, 1e-9),
-            ioengine=options.get("ioengine") or "io_uring",
-            direct=_parse_flag(options["direct"]) if "direct" in options else True,
+            iodepth=_number(
+                section, "iodepth", chosen.get("iodepth", options.get("iodepth") or 4), int
+            ),
+            rwmixread=_number(
+                section, "rwmixread",
+                chosen.get("rwmixread", options.get("rwmixread") or 50), int,
+            ),
+            runtime_s=runtime,
             name=name,
+            stonewall=_flag(options, "stonewall"),
+            pre_format=_flag(options, "pre_format"),
+            precondition_passes=passes,
+            precondition_bs=options.get("precondition_bs") or "128k",
+            steady_state=steady,
         )
-        specs.append(
-            JobSpec(
-                job=job,
-                stonewall=stonewall,
-                pre_format=pre_format,
-                precondition_passes=passes,
-                precondition_bs=options.get("precondition_bs") or "128k",
-                steady_state=steady,
-                runtime_s=runtime,
-            )
-        )
-    return specs
+        for name, chosen in cells
+    ]
 
 
 # ---------------------------------------------------------------------- #
@@ -332,25 +245,28 @@ def measure_trace(setup: SimulatedSetup, trace, duration: float) -> float:
 
 
 class JobRunner:
-    """Execute a parsed job list against one FTL policy, PS3-measured."""
+    """Run a job list against one FTL policy, each job PS3-measured.
+
+    Each job runs through :meth:`~repro.storage.engine.IoEngine.run`,
+    directives included; the runner measures the job body's power trace
+    through the simulated PowerSensor3 and fills in the report row.
+    """
 
     def __init__(
         self,
-        specs: list[JobSpec],
+        jobs: list[FioJob],
         *,
         ftl: str = "page",
-        ftl_options: dict | None = None,
         ssd_spec: SsdSpec | None = None,
         seed: int = 0,
         volts: float = 3.3,
         registry=None,
         keep_intervals: bool = False,
     ) -> None:
-        if not specs:
+        if not jobs:
             raise ConfigurationError("no jobs to run")
-        self.specs = specs
+        self.jobs = jobs
         self.ftl = ftl
-        self.ftl_options = ftl_options
         self.ssd_spec = ssd_spec or SsdSpec()
         self.seed = seed
         self.volts = volts
@@ -358,8 +274,7 @@ class JobRunner:
         self.keep_intervals = keep_intervals
 
     def run(self) -> list[JobOutcome]:
-        ssd = Ssd(self.ssd_spec, seed=self.seed, ftl=self.ftl,
-                  ftl_options=self.ftl_options)
+        ssd = Ssd(self.ssd_spec, seed=self.seed, ftl=self.ftl)
         engine = IoEngine(ssd, seed=self.seed)
         setup = SimulatedSetup(
             ["pcie_slot_3v3"],
@@ -368,42 +283,27 @@ class JobRunner:
             calibration_samples=32 * 1024,
         )
         try:
-            return [
-                self._run_one(spec, ssd, engine, setup) for spec in self.specs
-            ]
+            return [self._measure(engine.run(job), ssd, setup) for job in self.jobs]
         finally:
             setup.close()
 
-    def _run_one(
-        self, spec: JobSpec, ssd: Ssd, engine: IoEngine, setup: SimulatedSetup
+    def _measure(
+        self, result: JobResult, ssd: Ssd, setup: SimulatedSetup
     ) -> JobOutcome:
-        if spec.stonewall:
-            ssd.idle_flush()
-        if spec.pre_format:
-            ssd.format()
-        if spec.precondition_passes > 0:
-            precondition(
-                ssd, engine, bs=spec.precondition_bs,
-                passes=spec.precondition_passes,
-            )
-
-        counters_before = (
-            ssd.counters.host_pages_written,
-            ssd.counters.internal_pages_written,
-            ssd.counters.lookup_ops,
-        )
-        stepper = engine.stepper(spec.job)
-        intervals, steady = self._tick_until_done(spec, stepper)
-        host, internal, lookups = (
-            ssd.counters.host_pages_written - counters_before[0],
-            ssd.counters.internal_pages_written - counters_before[1],
-            ssd.counters.lookup_ops - counters_before[2],
-        )
-
-        job = spec.job
-        result_bw = np.array([s.bandwidth_bps for s in intervals])
-        duration = len(intervals) * engine.tick_s
-        total_ios = float(result_bw.sum() * engine.tick_s / job.block_bytes)
+        job = result.job
+        bw = result.bandwidth
+        duration = len(result.intervals) * TICK_S
+        total_ios = float(bw.sum() * TICK_S / job.block_bytes)
+        watts = energy = joules_per_io = 0.0
+        latencies: dict[int, float] = {}
+        if result.intervals:
+            watts = measure_trace(setup, result.power_trace(volts=self.volts), duration)
+            energy = watts * duration
+            joules_per_io = energy / total_ios if total_ios > 0 else float("inf")
+            if job.read_fraction > 0:
+                latencies = {
+                    q: v * 1e6 for q, v in result.latency_percentiles().items()
+                }
         outcome = JobOutcome(
             name=job.name,
             policy=ssd.ftl_name,
@@ -412,97 +312,31 @@ class JobRunner:
                 "bs": job.block_bytes,
                 "iodepth": job.iodepth,
                 "rwmixread": job.rwmixread,
-                "runtime_s": spec.runtime_s,
+                "runtime_s": job.runtime_s,
             },
             runtime_s=duration,
-            bandwidth_mean_bps=float(result_bw.mean()) if intervals else 0.0,
+            bandwidth_mean_bps=result.mean_bandwidth,
             bandwidth_cv=(
-                float(result_bw.std() / max(result_bw.mean(), 1e-12))
-                if intervals
-                else 0.0
+                float(bw.std() / max(bw.mean(), 1e-12)) if result.intervals else 0.0
             ),
-            iops_mean=(
-                float(result_bw.mean()) / job.block_bytes if intervals else 0.0
-            ),
+            iops_mean=result.mean_bandwidth / job.block_bytes,
             total_ios=total_ios,
-            power_mean_w=0.0,
-            energy_j=0.0,
-            joules_per_io=0.0,
-            write_amplification=(
-                (host + internal) / host if host else 1.0
-            ),
+            power_mean_w=watts,
+            energy_j=energy,
+            joules_per_io=joules_per_io,
+            write_amplification=result.counters.write_amplification,
             map_bytes=ssd.map_bytes(),
-            lookup_ops=int(lookups),
-            steady_state=steady,
-            intervals=list(intervals) if self.keep_intervals else [],
+            lookup_ops=result.counters.lookup_ops,
+            latency_percentiles_us=latencies,
+            steady_state=result.steady_state,
+            intervals=result.intervals if self.keep_intervals else [],
         )
-
-        if intervals:
-            result = JobResult(job=job, intervals=list(intervals))
-            watts = measure_trace(
-                setup, result.power_trace(volts=self.volts), duration
-            )
-            outcome.power_mean_w = watts
-            outcome.energy_j = watts * duration
-            outcome.joules_per_io = (
-                outcome.energy_j / total_ios if total_ios > 0 else float("inf")
-            )
-            if job.read_fraction > 0:
-                lat = stepper.read_latencies()
-                outcome.latency_percentiles_us = {
-                    q: float(np.percentile(lat, q) * 1e6) for q in (50, 95, 99)
-                }
         if self.registry is not None:
             ssd.publish_metrics(self.registry)
             self.registry.counter(
                 "jobfile_jobs_total", policy=ssd.ftl_name
             ).inc()
         return outcome
-
-    def _tick_until_done(
-        self, spec: JobSpec, stepper: JobStepper
-    ) -> tuple[list[IntervalSample], dict | None]:
-        """Tick the job body, checking steady state at 1-second boundaries."""
-        if spec.runtime_s <= 0:
-            return [], None
-        tick_s = stepper.engine.tick_s
-        ticks_per_s = max(int(round(1.0 / tick_s)), 1)
-        n_ticks = max(int(round(spec.runtime_s / tick_s)), 1)
-        intervals: list[IntervalSample] = []
-        ss = spec.steady_state
-        steady: dict | None = None
-        if ss is not None:
-            steady = {
-                "criterion": ss.criterion,
-                "window_s": ss.window_s,
-                "ramp_s": ss.ramp_s,
-                "attained": False,
-                "value": None,
-                "stopped_at_s": None,
-            }
-        per_second: list[float] = []
-        for k in range(n_ticks):
-            intervals.append(stepper.tick())
-            if ss is None or (k + 1) % ticks_per_s:
-                continue
-            second = intervals[-ticks_per_s:]
-            if ss.metric == "bw":
-                per_second.append(
-                    float(np.mean([s.bandwidth_bps for s in second]))
-                )
-            else:
-                per_second.append(float(np.mean([s.iops for s in second])))
-            elapsed = len(per_second)
-            window = int(round(ss.window_s))
-            if elapsed <= ss.ramp_s or elapsed - ss.ramp_s < window:
-                continue
-            attained, value = ss.check(np.array(per_second[-window:]))
-            steady["value"] = value  # type: ignore[index]
-            if attained:
-                steady["attained"] = True  # type: ignore[index]
-                steady["stopped_at_s"] = elapsed  # type: ignore[index]
-                break
-        return intervals, steady
 
 
 def run_jobfile(
@@ -513,13 +347,12 @@ def run_jobfile(
     seed: int = 0,
     volts: float = 3.3,
     registry=None,
-    keep_intervals: bool = False,
 ) -> dict:
     """Run a job file against one or more FTL policies; returns the report.
 
     ``ftl`` may be a policy name, a list of names, or ``"all"``.
     """
-    specs = load_jobfile(path)
+    jobs = load_jobfile(path)
     policies = _resolve_policies(ftl)
     report = {
         "jobfile": str(path),
@@ -529,13 +362,12 @@ def run_jobfile(
     }
     for policy in policies:
         runner = JobRunner(
-            specs,
+            jobs,
             ftl=policy,
             ssd_spec=ssd_spec,
             seed=seed,
             volts=volts,
             registry=registry,
-            keep_intervals=keep_intervals,
         )
         report["policies"][policy] = [o.to_dict() for o in runner.run()]
     return report

@@ -20,7 +20,7 @@ from repro.ftl import (
     create_ftl,
 )
 from repro.observability import MetricsRegistry
-from repro.storage.engine import IoEngine, precondition
+from repro.storage.engine import IoEngine
 from repro.storage.fio import FioJob
 
 DATA = Path(__file__).parent / "data"
@@ -48,14 +48,18 @@ def churn_workload(ftl: str) -> Ssd:
 def engine_workload(ftl: str):
     """Precondition a 96 MiB drive, then fio write, read and mixed jobs.
 
-    Yields ``(name, ssd, outcome)`` after each job.
+    The preconditioning is a prep job and the write job is stonewalled,
+    so the pins hold ``IoEngine.run``'s directive path.  Yields
+    ``(name, ssd, outcome)`` after each job.
     """
     ssd = Ssd(SsdSpec(logical_bytes=96 * MIB), seed=9, ftl=ftl)
     engine = IoEngine(ssd, seed=9)
-    precondition(ssd, engine, bs="128k")
-    ssd.idle_flush()
+    engine.run(FioJob(rw="write", runtime_s=0, precondition_passes=1.0))
     jobs = (
-        ("engine_write", FioJob(rw="randwrite", bs="4k", iodepth=4, runtime_s=6.0)),
+        (
+            "engine_write",
+            FioJob(rw="randwrite", bs="4k", iodepth=4, runtime_s=6.0, stonewall=True),
+        ),
         ("engine_read", FioJob(rw="randread", bs="64k", iodepth=4, runtime_s=1.0)),
         ("engine_mixed", FioJob(rw="randrw", bs="16k", rwmixread=70, runtime_s=1.0)),
     )

@@ -10,14 +10,8 @@ from repro.common.units import MIB
 from repro.dut.ssd import Ssd, SsdSpec
 from repro.observability import MetricsRegistry
 from repro.storage.engine import IoEngine
-from repro.storage.fio import FioJob, parse_size
-from repro.storage.jobfile import (
-    JobRunner,
-    JobSpec,
-    SteadyState,
-    parse_jobfile,
-    run_jobfile,
-)
+from repro.storage.fio import FioJob, SteadyState, parse_size
+from repro.storage.jobfile import JobRunner, parse_jobfile, run_jobfile
 
 SMALL = SsdSpec(logical_bytes=64 * MIB)
 
@@ -94,8 +88,8 @@ runtime=1
 
 class TestParseJobfile:
     def test_global_defaults_and_grid_expansion(self):
-        specs = parse_jobfile(JOBFILE)
-        names = [s.name for s in specs]
+        jobs = parse_jobfile(JOBFILE)
+        names = [j.name for j in jobs]
         assert names == [
             "prep",
             "writes",
@@ -104,20 +98,25 @@ class TestParseJobfile:
             "sweep[bs=64k/iodepth=1]",
             "sweep[bs=64k/iodepth=8]",
         ]
-        prep, writes = specs[0], specs[1]
+        prep, writes = jobs[0], jobs[1]
         assert prep.pre_format and prep.precondition_passes == 0.5
         assert prep.runtime_s == 0
         assert writes.stonewall
-        assert writes.job.bs == "4k"  # from [global]
+        assert writes.bs == "4k"  # from [global]
         assert writes.steady_state is not None
         assert writes.steady_state.criterion == "iops_slope:0.3%"
         assert writes.steady_state.window_s == 3
-        assert specs[3].job.block_bytes == 16384
-        assert specs[3].job.iodepth == 8
+        assert jobs[3].block_bytes == 16384
+        assert jobs[3].iodepth == 8
 
     def test_single_valued_grid_keys_stay_out_of_names(self):
-        specs = parse_jobfile("[a]\nrw=randread\nbs=4k\nruntime=1\n")
-        assert [s.name for s in specs] == ["a"]
+        jobs = parse_jobfile("[a]\nrw=randread\nbs=4k\nruntime=1\n")
+        assert [j.name for j in jobs] == ["a"]
+
+    def test_ioengine_and_direct_are_accepted_and_have_no_effect(self):
+        plain = "[a]\nrw=randread\nbs=4k\nruntime=1\n"
+        (with_keys,) = parse_jobfile(plain + "ioengine=io_uring\ndirect=1\n")
+        assert with_keys == parse_jobfile(plain)[0]
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown key"):
@@ -135,6 +134,25 @@ class TestParseJobfile:
         with pytest.raises(ConfigurationError, match="runtime=0"):
             parse_jobfile("[a]\nrw=write\nruntime=0\n")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "iodepth=four",
+            "iodepth=1,four",
+            "rwmixread=fifty",
+            "runtime=ten",
+            "runtime=inf",
+            "precondition=half",
+            "ss_dur=two",
+            "ss_ramp=one",
+        ],
+    )
+    def test_malformed_number_names_job_and_key(self, line):
+        key = line.partition("=")[0]
+        text = f"[slow]\nrw=randrw\nss=iops:5%\n{line}\n"
+        with pytest.raises(ConfigurationError, match=rf"job \[slow\]: {key}="):
+            parse_jobfile(text)
+
     def test_malformed_ini_wrapped(self):
         with pytest.raises(ConfigurationError, match="cannot parse"):
             parse_jobfile("rw=write before any section\n")
@@ -150,7 +168,7 @@ class TestSteadyStateParse:
         assert dev.window_s == 6 and dev.ramp_s == 2
 
     @pytest.mark.parametrize(
-        "text", ["iops", "iops_slope", "watts:1%", "iops_max:1%", "iops:1", "bw:-2%"]
+        "text", ["iops", "iops_slope", "watts:1%", "iops_max:1%", "iops:1", "bw:-2%", "iops:abc%"]
     )
     def test_bad_specs_rejected(self, text):
         with pytest.raises(ConfigurationError):
@@ -262,7 +280,7 @@ class TestJobRunner:
     ids=lambda job: f"{job.rw}{job.rwmixread if job.is_mixed else ''}",
 )
 def test_engine_run_matches_the_job_runner(job):
-    """Fig. 12's ``IoEngine.run`` and psfio's runner run one job body.
+    """psfio's runner reports exactly what ``IoEngine.run`` gives Fig. 12.
 
     The same job on twin drives gives the same intervals, mapping
     lookups and read-latency percentiles either way.
@@ -271,14 +289,10 @@ def test_engine_run_matches_the_job_runner(job):
     ssd = Ssd(spec, seed=3)
     lookups_before = ssd.counters.lookup_ops
     result = IoEngine(ssd, seed=3).run(job)
-    (outcome,) = JobRunner(
-        [JobSpec(job=job, runtime_s=job.runtime_s)],
-        ssd_spec=spec,
-        seed=3,
-        keep_intervals=True,
-    ).run()
+    (outcome,) = JobRunner([job], ssd_spec=spec, seed=3, keep_intervals=True).run()
     assert outcome.intervals == result.intervals
-    assert outcome.lookup_ops == ssd.counters.lookup_ops - lookups_before
+    assert outcome.lookup_ops == result.counters.lookup_ops
+    assert result.counters.lookup_ops == ssd.counters.lookup_ops - lookups_before
     if job.read_fraction == 0:
         assert result.latencies_s.size == 0
         assert outcome.latency_percentiles_us == {}
@@ -313,3 +327,13 @@ class TestPsfioCli:
         status = main([str(jobs)])
         assert status == 74  # ConfigurationError exit status
         assert "psfio:" in capsys.readouterr().err
+
+    def test_cli_malformed_number_exits_74(self, tmp_path, capsys):
+        from repro.cli.psfio import main
+
+        jobs = tmp_path / "bad.fio"
+        jobs.write_text("[w]\nrw=randread\niodepth=four\n")
+        assert main([str(jobs)]) == 74
+        err = capsys.readouterr().err
+        assert "ConfigurationError" in err and "iodepth='four'" in err
+        assert "Traceback" not in err

@@ -38,10 +38,19 @@ def test_job_validation():
         FioJob(rw="mixed")
     with pytest.raises(ConfigurationError):
         FioJob(rw="read", iodepth=0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="runtime=0 needs"):
         FioJob(rw="read", runtime_s=0)
     with pytest.raises(ConfigurationError):
         FioJob(rw="read", bs="nope")
+    with pytest.raises(ConfigurationError, match="runtime must be >= 0"):
+        FioJob(rw="read", runtime_s=-1)
+    # A pure prep job may have no body.
+    assert FioJob(rw="write", runtime_s=0, pre_format=True).runtime_s == 0
+    assert FioJob(rw="write", runtime_s=0, precondition_passes=0.5).runtime_s == 0
+    with pytest.raises(ConfigurationError, match="precondition must be >= 0"):
+        FioJob(rw="write", precondition_passes=-1)
+    with pytest.raises(ConfigurationError):
+        FioJob(rw="write", runtime_s=0, pre_format=True, precondition_bs="4q")
 
 
 def test_job_properties():
@@ -93,16 +102,46 @@ def test_sequential_write_covers_lba_space_in_order():
 
 
 def test_precondition_maps_whole_drive():
-    ssd, engine = make_engine()
-    precondition(ssd, engine)
+    ssd, _ = make_engine()
+    precondition(ssd)
     assert ssd.mapped_pages == ssd.spec.logical_pages
     ssd.check_invariants()
+
+
+def test_prep_job_runs_its_directives_and_draws_nothing():
+    ssd, engine = make_engine()
+    engine.run(FioJob(rw="randwrite", bs="4k", runtime_s=0.2))
+    state = engine.rng.generator.bit_generator.state
+    result = engine.run(
+        FioJob(rw="write", runtime_s=0, pre_format=True, precondition_passes=1.0)
+    )
+    assert result.intervals == [] and result.latencies_s.size == 0
+    assert result.steady_state is None
+    assert engine.rng.generator.bit_generator.state == state
+    assert ssd.mapped_pages == ssd.spec.logical_pages
+    # The counters restart at the format; the prep job's own writes are
+    # not the job body's.
+    assert ssd.counters.host_pages_written == ssd.spec.logical_pages
+    assert result.counters.host_pages_written == 0
+
+
+def test_job_result_counts_only_its_body():
+    ssd, engine = make_engine(seed=3)
+    engine.run(FioJob(rw="write", runtime_s=0, precondition_passes=1.0))
+    before = ssd.counters.host_pages_written
+    result = engine.run(FioJob(rw="randwrite", bs="4k", runtime_s=0.5, stonewall=True))
+    assert result.counters.host_pages_written == (
+        ssd.counters.host_pages_written - before
+    )
+    assert result.counters.write_amplification >= 1.0
+    bw_1s, pw_1s = engine.run(FioJob(rw="randread", runtime_s=2.5)).per_second()
+    assert bw_1s.shape == pw_1s.shape == (2,)
 
 
 def test_steady_write_power_stable_while_bandwidth_varies():
     """The Fig. 12b phenomenon, at test scale."""
     ssd, engine = make_engine(logical=128 * MIB, seed=1)
-    precondition(ssd, engine)
+    precondition(ssd)
     ssd.idle_flush()
     result = engine.run(FioJob(rw="randwrite", bs="4k", runtime_s=8.0))
     bw = result.bandwidth[40:]  # steady portion
@@ -114,7 +153,7 @@ def test_steady_write_power_stable_while_bandwidth_varies():
 
 def test_write_amplification_recorded_in_intervals():
     ssd, engine = make_engine(seed=2)
-    precondition(ssd, engine)
+    precondition(ssd)
     result = engine.run(FioJob(rw="randwrite", bs="4k", runtime_s=2.0))
     was = [s.write_amplification for s in result.intervals]
     assert max(was) > 1.0
@@ -141,7 +180,7 @@ def test_mixed_job_properties():
 
 def test_mixed_job_splits_bandwidth():
     ssd, engine = make_engine(seed=5)
-    precondition(ssd, engine)
+    precondition(ssd)
     result = engine.run(FioJob(rw="randrw", bs="4k", rwmixread=50, runtime_s=2.0))
     reads = np.array([s.read_bandwidth_bps for s in result.intervals])
     writes = np.array([s.write_bandwidth_bps for s in result.intervals])
