@@ -143,25 +143,19 @@ class IoEngine:
 
 
 def _tick_body(stepper: JobStepper) -> tuple[list[IntervalSample], dict | None]:
-    """Tick a job body for its runtime, stopping early at steady state."""
+    """Tick a job body for its runtime, stopping early at steady state.
+
+    Returns the intervals and, for a job with ``ss=``, its record.
+    """
     ss = stepper.job.steady_state
-    n_ticks = max(round(stepper.job.runtime_s / TICK_S), 1)
-    if ss is None:
-        return [stepper.tick() for _ in range(n_ticks)], None
-    steady = {
-        "criterion": ss.criterion,
-        "window_s": ss.window_s,
-        "ramp_s": ss.ramp_s,
-        "attained": False,
-        "value": None,
-        "stopped_at_s": None,
-    }
-    window = int(round(ss.window_s))
     intervals: list[IntervalSample] = []
     per_second: list[float] = []
-    for k in range(n_ticks):
+    attained = False
+    value: float | None = None
+    stopped_at_s: int | None = None
+    for k in range(max(round(stepper.job.runtime_s / TICK_S), 1)):
         intervals.append(stepper.tick())
-        if (k + 1) % _TICKS_PER_S:
+        if ss is None or (k + 1) % _TICKS_PER_S:
             continue
         second = intervals[-_TICKS_PER_S:]
         if ss.metric == "bw":
@@ -169,15 +163,22 @@ def _tick_body(stepper: JobStepper) -> tuple[list[IntervalSample], dict | None]:
         else:
             per_second.append(float(np.mean([s.iops for s in second])))
         elapsed = len(per_second)
-        if elapsed <= ss.ramp_s or elapsed - ss.ramp_s < window:
+        if elapsed <= ss.ramp_s or elapsed - ss.ramp_s < ss.window:
             continue
-        attained, value = ss.check(np.array(per_second[-window:]))
-        steady["value"] = value
+        attained, value = ss.check(np.array(per_second[-ss.window:]))
         if attained:
-            steady["attained"] = True
-            steady["stopped_at_s"] = elapsed
+            stopped_at_s = elapsed
             break
-    return intervals, steady
+    if ss is None:
+        return intervals, None
+    return intervals, {
+        "criterion": ss.criterion,
+        "window_s": ss.window_s,
+        "ramp_s": ss.ramp_s,
+        "attained": attained,
+        "value": value,
+        "stopped_at_s": stopped_at_s,
+    }
 
 
 class JobStepper:

@@ -48,13 +48,38 @@ def parse_size(text: str | int) -> int:
 
 @dataclass(frozen=True)
 class SteadyState:
-    """A parsed ``ss=`` criterion: terminate when attained."""
+    """An ``ss=`` criterion: terminate when attained.
+
+    ``__post_init__`` checks it, so one built in code is checked as a
+    parsed one is.
+    """
 
     metric: str  # "iops" | "bw"
     mode: str  # "slope" | "dev"
     threshold: float  # fraction of the window mean
     window_s: float = 4.0  # ss_dur
     ramp_s: float = 0.0  # ss_ramp
+
+    def __post_init__(self) -> None:
+        # A slope needs two points; a zero window would slice the whole
+        # history (``per_second[-0:]``).
+        need = 2 if self.mode == "slope" else 1
+        problem = None
+        if self.metric not in SS_METRICS:
+            problem = f"metric {self.metric!r} must be one of {SS_METRICS}"
+        elif self.mode not in ("slope", "dev"):
+            problem = f"mode {self.mode!r} must be slope or dev"
+        elif not (math.isfinite(self.threshold) and self.threshold > 0):
+            problem = f"threshold {self.threshold:g} must be positive"
+        elif not math.isfinite(self.window_s) or self.window < need:
+            problem = (
+                f"ss_dur={self.window_s:g} must round to at least {need} s "
+                f"in {self.mode} mode"
+            )
+        elif not math.isfinite(self.ramp_s) or self.ramp_s < 0:
+            problem = f"ss_ramp={self.ramp_s:g} must be >= 0"
+        if problem:
+            raise ConfigurationError(f"steady state: {problem}")
 
     @classmethod
     def parse(
@@ -67,12 +92,6 @@ class SteadyState:
                 f"steady-state spec {text!r} must be metric:threshold"
             )
         metric, _, mode = head.partition("_")
-        mode = mode or "dev"
-        if metric not in SS_METRICS or mode not in ("slope", "dev"):
-            raise ConfigurationError(
-                f"steady-state metric {head!r} must be one of "
-                "iops, bw, iops_slope, bw_slope"
-            )
         value = value.strip()
         try:
             threshold = float(value[:-1] if value.endswith("%") else "") / 100.0
@@ -80,13 +99,9 @@ class SteadyState:
             raise ConfigurationError(
                 f"steady-state threshold {value!r} must be a percentage"
             ) from None
-        if not threshold > 0:
-            raise ConfigurationError("steady-state threshold must be positive")
-        if window_s <= 0:
-            raise ConfigurationError("ss_dur must be positive")
         return cls(
             metric=metric,
-            mode=mode,
+            mode=mode or "dev",
             threshold=threshold,
             window_s=window_s,
             ramp_s=max(ramp_s, 0.0),
@@ -96,6 +111,11 @@ class SteadyState:
     def criterion(self) -> str:
         mode = f"_{self.mode}" if self.mode == "slope" else ""
         return f"{self.metric}{mode}:{self.threshold * 100:g}%"
+
+    @property
+    def window(self) -> int:
+        """The window in whole 1-second means, as the engine checks it."""
+        return int(round(self.window_s))
 
     def check(self, window: np.ndarray) -> tuple[bool, float]:
         """Evaluate one rolling window of per-second means.

@@ -169,11 +169,12 @@ def _expand_section(section: str, options: dict) -> list[FioJob]:
     passes = _number(section, "precondition", options.get("precondition") or 0.0)
     steady = None
     if "ss" in options:
-        steady = SteadyState.parse(
-            options["ss"],
-            window_s=_number(section, "ss_dur", options.get("ss_dur") or 4.0),
-            ramp_s=_number(section, "ss_ramp", options.get("ss_ramp") or 0.0),
-        )
+        window_s = _number(section, "ss_dur", options.get("ss_dur") or 4.0)
+        ramp_s = _number(section, "ss_ramp", options.get("ss_ramp") or 0.0)
+        try:
+            steady = SteadyState.parse(options["ss"] or "", window_s, ramp_s)
+        except ConfigurationError as error:
+            raise ConfigurationError(f"job [{section}]: {error}") from None
     return [
         FioJob(
             rw=chosen.get("rw", options["rw"]),

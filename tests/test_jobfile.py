@@ -168,11 +168,35 @@ class TestSteadyStateParse:
         assert dev.window_s == 6 and dev.ramp_s == 2
 
     @pytest.mark.parametrize(
-        "text", ["iops", "iops_slope", "watts:1%", "iops_max:1%", "iops:1", "bw:-2%", "iops:abc%"]
+        "text",
+        ["iops", "iops_slope", "watts:1%", "iops_max:1%", "iops:1", "bw:-2%", "iops:abc%",
+         "iops:inf%"],
     )
     def test_bad_specs_rejected(self, text):
         with pytest.raises(ConfigurationError):
             SteadyState.parse(text)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(metric="watts", mode="dev", threshold=0.05),
+            dict(metric="iops", mode="max", threshold=0.05),
+            dict(metric="iops", mode="dev", threshold=0.0),
+            dict(metric="iops", mode="dev", threshold=float("inf")),
+            dict(metric="iops", mode="dev", threshold=0.05, window_s=0),
+            dict(metric="iops", mode="dev", threshold=0.05, window_s=0.4),
+            dict(metric="iops", mode="dev", threshold=0.05, window_s=float("nan")),
+            dict(metric="iops", mode="slope", threshold=0.05, window_s=1),
+            dict(metric="iops", mode="dev", threshold=0.05, ramp_s=-1),
+        ],
+    )
+    def test_code_built_criterion_checked_as_parsed(self, kwargs):
+        with pytest.raises(ConfigurationError, match="steady state"):
+            SteadyState(**kwargs)
+
+    def test_shortest_windows_accepted(self):
+        assert SteadyState("bw", "dev", 0.05, window_s=1).window == 1
+        assert SteadyState("iops", "slope", 0.05, window_s=1.6).window == 2
 
     def test_slope_check(self):
         ss = SteadyState.parse("iops_slope:1%")
@@ -336,4 +360,17 @@ class TestPsfioCli:
         assert main([str(jobs)]) == 74
         err = capsys.readouterr().err
         assert "ConfigurationError" in err and "iodepth='four'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "criterion", ["ss=iops:5%\nss_dur=0.4", "ss=iops_slope:1%\nss_dur=1", "ss"]
+    )
+    def test_cli_bad_steady_state_exits_74(self, tmp_path, capsys, criterion):
+        from repro.cli.psfio import main
+
+        jobs = tmp_path / "bad.fio"
+        jobs.write_text(f"[w]\nrw=randwrite\nruntime=4\n{criterion}\n")
+        assert main([str(jobs), "--capacity-gib", "0.0625"]) == 74
+        err = capsys.readouterr().err
+        assert "ConfigurationError" in err and "job [w]" in err
         assert "Traceback" not in err
