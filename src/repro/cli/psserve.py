@@ -25,6 +25,7 @@ from repro.cli.common import (
 from repro.observability import MetricsRegistry, Tracer
 from repro.server.daemon import DEFAULT_CHUNK, PowerSensorServer
 from repro.server.ring import POLICIES
+from repro.transport.shm import DEFAULT_BATCH
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -58,15 +59,9 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=DEFAULT_CHUNK,
         metavar="N",
-        help="samples pumped (and framed) per fan-out iteration",
-    )
-    parser.add_argument(
-        "--pump-batch",
-        type=int,
-        default=1,
-        metavar="N",
-        help="chunks of stream time read from the device per pump tick "
-        "(one large read, re-framed chunk-sized)",
+        help="samples per DATA frame and per window fold; a paced server reads "
+        "one chunk per device read, --fast as many whole chunks as fit in "
+        f"{DEFAULT_BATCH} samples",
     )
     parser.add_argument(
         "--duration",
@@ -144,7 +139,6 @@ def _serve(args: argparse.Namespace, registry: MetricsRegistry, tracer: Tracer) 
             policy=args.policy,
             buffer_frames=args.buffer_frames,
             chunk=args.chunk,
-            pump_batch=args.pump_batch,
             client_timeout=args.client_timeout,
             max_clients=args.max_clients,
             time_scale=0.0 if args.fast else args.time_scale,

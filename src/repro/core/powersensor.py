@@ -44,6 +44,19 @@ RETRY_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
 __all__ = ["DEFAULT_RECOVERY", "PowerSensor", "RecoveryPolicy", "RETRY_BUCKETS"]
 
 
+def recorded_pairs(configs: list[SensorConfig]) -> dict[int, str]:
+    """The pairs a dump or store records, ``{pair: name}`` in pair order.
+
+    A pair is recorded when both its sensors are enabled, under its
+    ``pair_name`` or else ``pairP``.
+    """
+    return {
+        p: configs[2 * p].pair_name or f"pair{p}"
+        for p in range(len(configs) // 2)
+        if configs[2 * p].enabled and configs[2 * p + 1].enabled
+    }
+
+
 class PowerSensor:
     """Host-side handle to a (simulated) PowerSensor3 device."""
 
@@ -198,18 +211,10 @@ class PowerSensor:
                     self._dump.write_marker(float(times[idx]), char)
 
         if self._dump is not None:
-            pair_mask = self._enabled_pairs()
-            self._dump.write_samples(
-                block.times, volts[:, pair_mask], currents[:, pair_mask]
-            )
+            pairs = list(recorded_pairs(self.source.configs))
+            self._dump.write_samples(block.times, volts[:, pairs], currents[:, pairs])
         if self._store is not None:
             self._store.append(block)
-
-    def _enabled_pairs(self) -> np.ndarray:
-        configs = self.source.configs
-        return np.array(
-            [configs[2 * p].enabled and configs[2 * p + 1].enabled for p in range(PAIRS)]
-        )
 
     # ------------------------------------------------------------------ #
     # Interval mode                                                      #
@@ -244,12 +249,7 @@ class PowerSensor:
             self._dump = None
         if path is None:
             return
-        configs = self.source.configs
-        pair_names = [
-            configs[2 * p].pair_name or f"pair{p}"
-            for p in range(PAIRS)
-            if configs[2 * p].enabled and configs[2 * p + 1].enabled
-        ]
+        pair_names = list(recorded_pairs(self.source.configs).values())
         self._dump = DumpWriter(path, pair_names, self.sample_rate)
 
     def record(self, store) -> None:
@@ -274,17 +274,11 @@ class PowerSensor:
         if isinstance(store, (str, Path)):
             from repro.store import TelemetryStore
 
-            configs = self.source.configs
-            pair_names = [
-                configs[2 * p].pair_name or f"pair{p}"
-                for p in range(PAIRS)
-                if configs[2 * p].enabled and configs[2 * p + 1].enabled
-            ]
             store = TelemetryStore(
                 store,
                 device=getattr(self.source, "device", None),
                 sample_rate=float(self.sample_rate),
-                pair_names=pair_names,
+                pair_names=list(recorded_pairs(self.source.configs).values()),
             )
             self._owns_store = True
         self._store = store

@@ -71,6 +71,15 @@ class SampleBlock:
     def __len__(self) -> int:
         return int(self.times.size)
 
+    def slice(self, start: int, stop: int | None = None) -> "SampleBlock":
+        """Samples ``start:stop`` as views of this block's arrays."""
+        return SampleBlock(
+            times=self.times[start:stop],
+            values=self.values[start:stop],
+            markers=self.markers[start:stop],
+            enabled=self.enabled,
+        )
+
     def pair_power(self, pair: int) -> np.ndarray:
         """Instantaneous power of one pair, W, per sample."""
         return self.values[:, 2 * pair] * self.values[:, 2 * pair + 1]

@@ -128,8 +128,8 @@ def run(
         [
             "panel b: bandwidth coefficient-of-variation vs power CV shows "
             "bandwidth varies strongly while power is stable (~5 W)",
-            f"write amplification at end of run: "
-            f"{ssd.counters.write_amplification:.2f}",
+            f"random-write job's write amplification: "
+            f"{outcome.counters.write_amplification:.2f}",
         ]
     )
     return result

@@ -560,27 +560,16 @@ class RemoteSampleSource(ProtocolSampleSource):
             block = self._backlog.pop()
             self._backlog_count = 0
             return block
-        times = np.concatenate([b.times for b in self._backlog])
-        values = np.concatenate([b.values for b in self._backlog])
-        markers = np.concatenate([b.markers for b in self._backlog])
-        enabled = self._backlog[0].enabled
-        taken = SampleBlock(
-            times=times[:n], values=values[:n], markers=markers[:n], enabled=enabled
+        joined = SampleBlock(
+            times=np.concatenate([b.times for b in self._backlog]),
+            values=np.concatenate([b.values for b in self._backlog]),
+            markers=np.concatenate([b.markers for b in self._backlog]),
+            enabled=self._backlog[0].enabled,
         )
-        rest_n = times.size - n
-        if rest_n:
-            self._backlog = [
-                SampleBlock(
-                    times=times[n:],
-                    values=values[n:],
-                    markers=markers[n:],
-                    enabled=enabled,
-                )
-            ]
-        else:
-            self._backlog = []
-        self._backlog_count = rest_n
-        return taken
+        rest = joined.slice(n)
+        self._backlog = [rest] if len(rest) else []
+        self._backlog_count = len(rest)
+        return joined.slice(0, n)
 
     def close(self) -> None:
         self.link.close()

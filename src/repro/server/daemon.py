@@ -8,17 +8,19 @@ name subscribes to the first device, which keeps single-device clients
 oblivious to the fleet.
 
 The core is a **single-threaded asyncio event loop** around a **shared
-broadcast ring** (:mod:`repro.server.ring`): per pump tick each device's
-DATA frame is encoded exactly once and appended to the device's
+broadcast ring** (:mod:`repro.server.ring`): each chunk of a device's
+stream is encoded exactly once as a DATA frame and appended to the device's
 :class:`~repro.server.ring.BroadcastRing`; every subscriber holds a
 :class:`~repro.server.ring.RingCursor` into that ring instead of a
 per-client frame queue, so fan-out cost is one encode plus N integer
 cursor advances — independent of payload size and linear only in the
 *count* of subscribers.  Server-side windowing is shared the same way:
 all subscribers of one ``(device, window)`` stream read one ring fed by
-a single vectorised NumPy fold per tick (so the window(1) float64
-downgrade of a byte-less device costs one ``pack_window`` per tick, not
-one per client).
+a single vectorised NumPy fold per chunk (so the window(1) float64
+downgrade of a byte-less device costs one ``pack_window`` per chunk, not
+one per client).  An unpaced server reads several chunks per device
+call and a paced one reads one; either way each chunk is framed and
+folded on its own, so subscribers see the same frames.
 
 Backpressure policies are cursor policies: ``block`` flow-controls the
 pump (bounded by the client timeout, then evicts the laggard),
@@ -59,6 +61,7 @@ from repro.common.errors import (
     ServerError,
     TransportError,
 )
+from repro.core.powersensor import recorded_pairs
 from repro.core.sources import SampleBlock, SampleSource
 from repro.hardware.eeprom import VirtualEeprom
 from repro.observability import MetricsRegistry, Tracer
@@ -76,6 +79,7 @@ from repro.server.wire import (
     pack_window,
     parse_endpoint,
 )
+from repro.transport.shm import DEFAULT_BATCH
 
 #: Default pump chunk: 400 samples = 20 ms of stream at 20 kHz.
 DEFAULT_CHUNK = 400
@@ -130,16 +134,6 @@ def _unlink_unix(endpoint: tuple[str, object]) -> None:
             pass
 
 
-def _source_pair_names(source) -> list[str]:
-    """Recorded pair names for a source, the way ``PowerSensor.dump`` picks them."""
-    configs = list(source.configs)
-    names = []
-    for pair in range(len(configs) // 2):
-        if configs[2 * pair].enabled and configs[2 * pair + 1].enabled:
-            names.append(configs[2 * pair].pair_name or f"pair{pair}")
-    return names
-
-
 class _Device:
     """Server-side state for one served device."""
 
@@ -186,10 +180,10 @@ class _Device:
 
 
 class _WindowStream:
-    """One shared server-side window stream: fold and encode once per tick.
+    """One shared server-side window stream: fold and encode once per chunk.
 
     All subscribers of the same ``(device, window)`` pair share this
-    accumulator and its ring, so the fold costs one pass per tick however
+    accumulator and its ring, so the fold costs one pass per chunk however
     many clients read it.
     """
 
@@ -229,11 +223,8 @@ class _WindowStream:
         avg_values = values[:used].reshape(k, w, values.shape[1]).mean(axis=1)
         any_markers = markers[:used].reshape(k, w).any(axis=1)
         leftover = SampleBlock(
-            times=times[used:],
-            values=values[used:],
-            markers=markers[used:],
-            enabled=block.enabled,
-        )
+            times=times, values=values, markers=markers, enabled=block.enabled
+        ).slice(used)
         self.acc = [leftover] if len(leftover) else []
         self.acc_count -= used
         payload = pack_window(avg_times, avg_values, any_markers, block.enabled)
@@ -296,7 +287,6 @@ class PowerSensorServer:
         policy: str = "block",
         buffer_frames: int = 256,
         chunk: int = DEFAULT_CHUNK,
-        pump_batch: int = 1,
         client_timeout: float = 5.0,
         max_clients: int = 64,
         time_scale: float = 0.0,
@@ -312,13 +302,10 @@ class PowerSensorServer:
             )
         if chunk < 1:
             raise ConfigurationError(f"chunk must be >= 1, got {chunk}")
-        if pump_batch < 1:
-            raise ConfigurationError(f"pump_batch must be >= 1, got {pump_batch}")
         self.endpoint = parse_endpoint(listen)
         self.policy = policy
         self.buffer_frames = int(buffer_frames)
         self.chunk = int(chunk)
-        self.pump_batch = int(pump_batch)
         self.client_timeout = float(client_timeout)
         self.max_clients = int(max_clients)
         self.time_scale = float(time_scale)
@@ -348,7 +335,7 @@ class PowerSensorServer:
                     roll_samples=int(store_roll),
                     device=device.name,
                     sample_rate=float(device.source.sample_rate),
-                    pair_names=_source_pair_names(device.source),
+                    pair_names=list(recorded_pairs(device.source.configs).values()),
                     registry=self.registry,
                     tracer=self.tracer,
                 )
@@ -449,8 +436,11 @@ class PowerSensorServer:
         (per-device chunk sizes scale with sample rate), so a fleet's
         clocks stay aligned.  ``duration=None`` pumps until
         :meth:`close` (or Ctrl-C in the CLI).  With ``time_scale > 0``
-        the pump paces itself against the wall clock (1.0 = real time);
-        0 pumps as fast as possible.  Returns a stats dict (also the
+        the pump paces itself against the wall clock (1.0 = real time)
+        and a round is one chunk; 0 pumps as fast as possible, and a
+        round is as many whole chunks as fit in
+        :data:`~repro.transport.shm.DEFAULT_BATCH` samples (20 of 400).
+        Returns a stats dict (also the
         shape of the EOS payload).  Blocks the calling thread; the work
         happens on the server's event loop.
         """
@@ -890,6 +880,11 @@ class PowerSensorServer:
                     totals is None or d.samples_produced < totals[d.name]
                 )
 
+            # Unpaced, one device read covers the whole chunks that fit in
+            # a producer batch, so the per-read simulation and decode cost
+            # is paid once per batch; paced, one chunk, as the pacing
+            # sleeps once per chunk.
+            per_read = 1 if self.time_scale > 0 else max(DEFAULT_BATCH // self.chunk, 1)
             loop = asyncio.get_running_loop()
             t0 = loop.time()
             while not stop.is_set():
@@ -897,10 +892,7 @@ class PowerSensorServer:
                 if not live:
                     break
                 for device in live:
-                    # One read covers pump_batch chunks of stream time;
-                    # the raw bytes are re-framed chunk-sized below so
-                    # ring/backpressure granularity doesn't change.
-                    n = chunks[device.name] * self.pump_batch
+                    n = chunks[device.name] * per_read
                     if totals is not None:
                         n = min(n, totals[device.name] - device.samples_produced)
                     if await self._pump_device(device, n, chunks[device.name]) == 0:
@@ -917,10 +909,6 @@ class PowerSensorServer:
                     delay = t0 + sim_elapsed * self.time_scale - loop.time()
                     if delay > 0:
                         await asyncio.sleep(delay)
-                else:
-                    # Fast mode never sleeps; yield once per tick so the
-                    # writer coroutines actually get scheduled.
-                    await asyncio.sleep(0)
             return await self._finish_async(
                 "duration" if duration is not None else "stopped"
             )
@@ -946,75 +934,77 @@ class PowerSensorServer:
             except _TIMEOUTS:
                 pass
 
-    async def _pump_device(self, device: _Device, n: int, chunk: int | None = None) -> int:
-        """Pump ``n`` samples from one device into its broadcast rings.
+    async def _pump_device(self, device: _Device, n: int, chunk: int) -> int:
+        """Pump ``n`` samples from one device into its rings and store.
 
-        ``chunk`` is the per-frame sample granularity: with
-        ``pump_batch > 1`` one read covers several chunks of stream time
-        and the raw bytes are re-framed into chunk-sized DATA frames, so
-        subscribers and backpressure see the same frame cadence while
-        the device-simulation/decode cost is paid once per batch.
-        Returns the number of samples actually produced (a finite replay
-        tape may run dry and return 0).
+        One device read covers all ``n`` samples; each ``chunk``-sized
+        piece of it then takes the steps a one-chunk read would (sample
+        counters, store append, one raw DATA frame, each window stream's
+        fold) and a yield to the writers, so subscribers, backpressure
+        and the store see the same frames and appends whatever the read
+        size.  Returns the number of samples actually produced (a finite
+        replay tape may run dry and return 0).
         """
         source = device.source
         if not source.streaming:
             source.start()
         raw: bytes | None = None
-        if device.raw_capable:
-            with self.tracer.span("server_pump", device=device.name):
+        with self.tracer.span("server_pump", device=device.name):
+            if device.raw_capable:
                 block, raw = source.read_block_raw(n)
-            produced = n
-        else:
-            with self.tracer.span("server_pump", device=device.name):
+                produced = n
+            else:
                 block = source.read_block(n)
-            produced = len(block)
-            if produced == 0:
-                return 0
-        device.samples_produced += produced
-        device.samples_counter.inc(produced)
-        self._samples_counter.inc(produced)
-        if device.store is not None and len(block):
-            device.store.append(block)
-        # Encode each DATA frame exactly once, into the shared ring.
-        if raw is not None and any(c.mode == "raw" for c in device.clients):
-            ring = device.ensure_raw_ring(self.buffer_frames)
-            for payload, samples in self._split_raw(raw, produced, chunk):
+                produced = len(block)
+        if produced == 0:
+            return 0
+        for piece, payload, samples in self._pieces(block, raw, produced, chunk):
+            device.samples_produced += samples
+            device.samples_counter.inc(samples)
+            self._samples_counter.inc(samples)
+            if device.store is not None and len(piece):
+                device.store.append(piece)
+            # Encode each DATA frame exactly once, into the shared ring.
+            if payload is not None and any(c.mode == "raw" for c in device.clients):
+                ring = device.ensure_raw_ring(self.buffer_frames)
                 frame = encode_frame(FrameType.DATA, ring.next_seq(), payload)
                 await self._append(device, ring, frame, samples)
                 device.encode_counter.inc()
-            device.ring_gauge.set(ring.occupancy)
-        # One vectorised fold + one encode per (device, window) stream.
-        for stream in device.window_streams.values():
-            if not any(c.cursor.ring is stream.ring for c in device.clients):
-                continue
-            for frame, samples in stream.fold(block):
-                await self._append(device, stream.ring, frame, samples)
-                device.encode_counter.inc()
+                device.ring_gauge.set(ring.occupancy)
+            # One vectorised fold + one encode per (device, window) stream;
+            # a subscriber may open a new stream during an await.
+            for stream in list(device.window_streams.values()):
+                if not any(c.cursor.ring is stream.ring for c in device.clients):
+                    continue
+                for frame, covered in stream.fold(piece):
+                    await self._append(device, stream.ring, frame, covered)
+                    device.encode_counter.inc()
+            # The pump need not sleep, so yield here for the writers.
+            await asyncio.sleep(0)
         return produced
 
     @staticmethod
-    def _split_raw(
-        raw: bytes, produced: int, chunk: int | None
-    ) -> list[tuple[bytes, int]]:
-        """Split one batched raw read back into chunk-sized DATA payloads.
+    def _pieces(
+        block: SampleBlock, raw: bytes | None, produced: int, chunk: int
+    ) -> list[tuple[SampleBlock, bytes | None, int]]:
+        """Cut one device read into ``(block, raw payload, samples)`` pieces.
 
-        Only possible when the byte count maps cleanly onto the sample
-        count (the normal case; fault-mangled streams are relayed as one
-        frame — the client-side decoder is chunking-invariant either
-        way, so only the frame cadence differs).
+        Each piece covers ``chunk`` samples (the last one the rest) and
+        carries its slice of the wire bytes.  A read whose bytes or
+        decoded samples do not map onto ``produced`` (a fault-mangled
+        stream) stays one piece, relayed as one frame: the client-side
+        decoder is chunking-invariant either way.
         """
-        if (
-            chunk is None
-            or produced <= chunk
-            or not raw
-            or len(raw) % produced != 0
-        ):
-            return [(raw, produced)]
-        bps = len(raw) // produced
+        if len(block) != produced or (raw is not None and len(raw) % produced):
+            return [(block, raw, produced)]
+        bps = 0 if raw is None else len(raw) // produced
         return [
-            (raw[s * bps : min(s + chunk, produced) * bps], min(chunk, produced - s))
-            for s in range(0, produced, chunk)
+            (
+                block.slice(start, start + chunk),
+                None if raw is None else raw[start * bps : (start + chunk) * bps],
+                min(chunk, produced - start),
+            )
+            for start in range(0, produced, chunk)
         ]
 
     async def _append(

@@ -9,13 +9,13 @@ a 1-CPU box.
 :func:`run_swarm` instead drives N minimal asyncio subscribers on one
 event loop (callable from a plain thread): each one performs the
 HELLO → SUBSCRIBE → SUBACK → START handshake, then counts DATA/WINDOW
-frames, bytes and sequence gaps until EOS.  ``read_delay`` throttles a
-subscriber's reads and ``stall`` pauses it once right after START — the
-deterministic way to force backpressure, since a stalled subscriber's
-backlog outgrows the kernel-socket + transport write slack no matter how
-fast the server pumps.  ``slow_fraction`` applies both knobs to only the
-first ``slow_fraction * n_clients`` subscribers so one test can watch
-fast and slow cursors side by side.
+frames, bytes and sequence gaps until EOS.  ``stall`` pauses a
+subscriber once right after START — the deterministic way to force
+backpressure, since a stalled subscriber's backlog outgrows the
+kernel-socket + transport write slack no matter how fast the server
+pumps.  ``slow_fraction`` stalls only the first
+``slow_fraction * n_clients`` subscribers so one test can watch fast
+and slow cursors side by side.
 
 The per-client :class:`ClientResult` carries everything the scaling
 tests assert on: frames seen, sequence-gap losses (the client-side view
@@ -162,9 +162,7 @@ async def _run_client(
     endpoint,
     request: dict,
     connect_gate: asyncio.Semaphore,
-    read_delay: float,
     stall: float,
-    max_frames: int | None,
 ) -> ClientResult:
     result = ClientResult(index=index)
     writer: asyncio.StreamWriter | None = None
@@ -191,8 +189,6 @@ async def _run_client(
                     elif result.last_seq is not None and frame.seq > result.last_seq + 1:
                         result.seq_gaps += frame.seq - result.last_seq - 1
                     result.last_seq = frame.seq
-                    if max_frames is not None and result.frames >= max_frames:
-                        done = True
                 elif frame.type == FrameType.EOS:
                     result.eos = frame.json()
                     done = True
@@ -201,8 +197,6 @@ async def _run_client(
                     done = True
             if done:
                 break
-            if read_delay:
-                await asyncio.sleep(read_delay)
             data = await reader.read(READ_CHUNK)
             if not data:
                 result.error = result.error or "connection closed without EOS"
@@ -225,10 +219,8 @@ async def _swarm(
     n_clients: int,
     request: dict,
     connect_concurrency: int,
-    read_delay: float,
     stall: float,
     slow_fraction: float,
-    max_frames: int | None,
     timeout: float | None,
 ) -> SwarmResult:
     endpoint = parse_endpoint(address)
@@ -243,9 +235,7 @@ async def _swarm(
                 endpoint,
                 request,
                 gate,
-                read_delay if i < n_slow else 0.0,
                 stall if i < n_slow else 0.0,
-                max_frames,
             )
         )
         for i in range(n_clients)
@@ -270,10 +260,8 @@ def run_swarm(
     mode: str = "raw",
     window: int = 1,
     connect_concurrency: int = 64,
-    read_delay: float = 0.0,
     stall: float = 0.0,
     slow_fraction: float = 1.0,
-    max_frames: int | None = None,
     timeout: float | None = None,
 ) -> SwarmResult:
     """Run ``n_clients`` asyncio subscribers against a psserve endpoint.
@@ -292,10 +280,8 @@ def run_swarm(
             n_clients,
             request,
             connect_concurrency,
-            read_delay,
             stall,
             slow_fraction,
-            max_frames,
             timeout,
         )
     )

@@ -361,6 +361,3 @@ class FaultySerialLink(FaultChain):
 
     def pump_samples(self, n_samples: int) -> bytes:
         return self._apply(self.link.pump_samples(n_samples))
-
-    def pump_seconds(self, seconds: float) -> bytes:
-        return self._apply(self.link.pump_seconds(seconds))

@@ -34,7 +34,6 @@ class VirtualSerialLink:
         self._seconds_per_byte = 8.0 / self.bandwidth_bps
         self.buffer_limit = int(buffer_limit)
         self._rx = bytearray()  # device -> host bytes not yet read
-        self._pump_residual = 0.0  # fractional samples carried across pump_seconds
         self.is_open = True
         self.bytes_to_host = 0
         self.bytes_to_device = 0
@@ -104,15 +103,6 @@ class VirtualSerialLink:
             return data
         self._buffer(data)
         return self.read()
-
-    def pump_seconds(self, seconds: float) -> bytes:
-        # Carry the fractional-sample remainder across calls so repeated
-        # short pumps (e.g. 20 ms realtime chunks) never accumulate drift.
-        exact = seconds / self.firmware.baseboard.timing.output_interval_s
-        exact += self._pump_residual
-        n = max(int(round(exact)), 0)
-        self._pump_residual = exact - n
-        return self.pump_samples(n)
 
     def utilization(self) -> float:
         """Fraction of the link capacity the produced traffic would use."""

@@ -467,7 +467,6 @@ class ProducerLink:
         self._armed = False  # START seen; worker launches on the first read
         self._worker: _RingWorker | None = None
         self._carry: tuple[bytes, int] | None = None
-        self._pump_residual = 0.0
         self.producer_error: str | None = None
 
     # -- pass-through surface ------------------------------------------- #
@@ -696,15 +695,6 @@ class ProducerLink:
         if len(parts) == 1 and isinstance(parts[0], memoryview):
             return parts[0]  # zero-copy straight into decode
         return b"".join(parts)
-
-    def pump_seconds(self, seconds: float):
-        if self._worker is None and not self._armed:
-            return self.link.pump_seconds(seconds)
-        interval = self.link.firmware.baseboard.timing.output_interval_s
-        exact = seconds / interval + self._pump_residual
-        n = max(int(round(exact)), 0)
-        self._pump_residual = exact - n
-        return self.pump_samples(n)
 
     def close(self) -> None:
         self._stop()

@@ -7,6 +7,10 @@ import pytest
 
 from repro.common.errors import MeasurementError
 from repro.core.dump import DumpData, DumpReader, DumpWriter
+from repro.core.setup import SimulatedSetup
+from repro.dut.rails import build_rail
+from repro.server import PowerSensorServer
+from repro.store import TelemetryStore
 from tests.conftest import make_loaded_setup
 
 
@@ -239,3 +243,35 @@ def test_malformed_tokens_raise():
     ):
         with pytest.raises(ValueError):
             DumpReader.read(io.StringIO(header + bad))
+
+
+def test_dump_and_stores_record_the_same_pairs(tmp_path):
+    """A pair is recorded when both its sensors are enabled, as its name or pairP."""
+    setup = SimulatedSetup(
+        ["pcie_slot_12v", "pcie8pin", "usbc"], seed=0, calibrate=False, direct=False
+    )
+    setup.connect(0, build_rail("load:2.0@12.0"))
+    setup.connect(2, build_rail("load:1.0@5.0"))
+    setup.ps.set_config(2, enabled=False)  # pair 1 keeps only its voltage sensor
+    setup.ps.set_config(4, pair_name="")  # pair 2 is unnamed; slot 3 is empty
+    setup.ps.dump(tmp_path / "run.dump")
+    setup.ps.record(tmp_path / "store")
+    block = setup.ps.pump(40)
+    setup.ps.dump(None)
+    setup.ps.record(None)
+    server = PowerSensorServer(
+        setup.source, f"unix:{tmp_path / 'ps.sock'}", record_store=str(tmp_path / "served")
+    )
+    served = [device.store.pair_names for device in server.devices.values()]
+    server.close()
+    setup.close()
+
+    expected = ["pcie_slot_12v", "pair2"]
+    data = DumpReader.read(tmp_path / "run.dump")
+    assert data.pair_names == expected
+    with TelemetryStore(tmp_path / "store") as store:
+        assert store.pair_names == expected
+    assert served == [expected]
+    # The dump's columns are those two pairs' samples (to its 5 decimals).
+    assert np.allclose(data.volts, block.values[:, [1, 5]], rtol=0, atol=1e-5)
+    assert np.allclose(data.amps, block.values[:, [0, 4]], rtol=0, atol=1e-5)

@@ -407,11 +407,3 @@ def test_powersensor_pump_seconds_carries_remainder():
         setup.ps.pump_seconds(0.00003)
     assert setup.ps.samples_seen == 60
     setup.close()
-
-
-def test_link_pump_seconds_carries_remainder():
-    setup = make_loaded_setup(direct=False, seed=18)
-    per_sample = setup.firmware.bytes_per_sample()
-    total = sum(len(setup.link.pump_seconds(0.00003)) for _ in range(100))
-    assert total == 60 * per_sample
-    setup.close()

@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError, StreamStalledError
 from repro.core.fleet import Fleet, build_bench
-from repro.server.daemon import PowerSensorServer
 from repro.transport import shm
 from repro.transport.shm import (
     _HEADER,
@@ -356,30 +355,3 @@ def test_fleet_spec_accepts_producer_options():
     block = fleet.read_all(0.1)
     assert len(block["p"]) == 2000
     fleet.close()
-
-
-# --------------------------------------------------------------------- #
-# Server batching: raw slices re-framed at the chunk cadence            #
-# --------------------------------------------------------------------- #
-
-
-def test_split_raw_reframes_clean_batches():
-    raw = bytes(range(120))  # 20 samples at 6 bytes/sample
-    out = PowerSensorServer._split_raw(raw, 20, 8)
-    assert [(len(p) // 6, n) for p, n in out] == [(8, 8), (8, 8), (4, 4)]
-    assert b"".join(p for p, _ in out) == raw
-
-
-def test_split_raw_passes_through_small_and_mangled_reads():
-    raw = bytes(60)
-    assert PowerSensorServer._split_raw(raw, 10, 16) == [(raw, 10)]  # fits one chunk
-    mangled = bytes(61)  # fault-shortened: not a whole number of samples
-    assert PowerSensorServer._split_raw(mangled, 20, 8) == [(mangled, 20)]
-    assert PowerSensorServer._split_raw(b"", 0, 8) == [(b"", 0)]
-
-
-def test_server_rejects_bad_pump_batch():
-    setup = make_loaded_setup(direct=False, calibration_samples=1024)
-    with pytest.raises(ConfigurationError):
-        PowerSensorServer(setup.source, "unix:/tmp/x.sock", pump_batch=0)
-    setup.close()

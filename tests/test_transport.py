@@ -39,13 +39,6 @@ def test_pump_samples_returns_stream_bytes():
     assert link.in_waiting == 0
 
 
-def test_pump_seconds():
-    link = make_link()
-    link.write(b"S")
-    data = link.pump_seconds(0.001)  # 20 samples at 20 kHz
-    assert len(data) == 20 * link.firmware.bytes_per_sample()
-
-
 def test_partial_read_keeps_remainder():
     link = make_link()
     link.write(b"V")
