@@ -16,13 +16,11 @@ import threading
 import time
 from contextlib import contextmanager
 
-import numpy as np
 import pytest
 
 from repro.common.errors import ServerError, TransportError
 from repro.common.retry import RecoveryPolicy
 from repro.core.replay import ReplaySampleSource
-from repro.core.sources import SampleBlock
 from repro.firmware.commands import Command
 from repro.server import (
     BroadcastRing,
@@ -185,52 +183,6 @@ def test_cursor_rebase_joins_live_edge_without_loss():
 
 
 # --------------------------------------------------------------------- #
-# Server reads: one device read cut into chunk-sized pieces             #
-# --------------------------------------------------------------------- #
-
-
-def numbered_block(n: int) -> SampleBlock:
-    return SampleBlock(
-        times=np.arange(n, dtype=float),
-        values=np.zeros((n, 8)),
-        markers=np.zeros(n, dtype=bool),
-        enabled=np.ones(8, dtype=bool),
-    )
-
-
-def pieces(block, raw, produced, chunk):
-    """``PowerSensorServer._pieces`` as (sample times, payload, samples)."""
-    return [
-        (b.times.tolist(), payload, n)
-        for b, payload, n in PowerSensorServer._pieces(block, raw, produced, chunk)
-    ]
-
-
-def test_pieces_cut_a_clean_read_at_the_chunk():
-    raw = bytes(range(120))  # 20 samples at 6 bytes/sample
-    out = pieces(numbered_block(20), raw, 20, 8)
-    assert [(times[0], len(p) // 6, n) for times, p, n in out] == [
-        (0.0, 8, 8), (8.0, 8, 8), (16.0, 4, 4)
-    ]
-    assert [len(times) for times, _, _ in out] == [8, 8, 4]
-    assert b"".join(p for _, p, _ in out) == raw
-    # A device without wire bytes is cut the same way.
-    assert [(len(t), p, n) for t, p, n in pieces(numbered_block(20), None, 20, 8)] == [
-        (8, None, 8), (8, None, 8), (4, None, 4)
-    ]
-
-
-def test_pieces_keep_small_and_mangled_reads_whole():
-    raw = bytes(60)
-    assert pieces(numbered_block(10), raw, 10, 16) == [(list(range(10)), raw, 10)]
-    mangled = bytes(61)  # fault-shortened: not a whole number of samples
-    assert pieces(numbered_block(20), mangled, 20, 8) == [(list(range(20)), mangled, 20)]
-    short = numbered_block(18)  # two samples lost in decode
-    assert pieces(short, bytes(120), 20, 8) == [(list(range(18)), bytes(120), 20)]
-    assert pieces(numbered_block(0), b"", 8, 4) == [([], b"", 8)]  # a stalled read
-
-
-# --------------------------------------------------------------------- #
 # Bugfix regression: dry-reference pacing busy-spin                     #
 # --------------------------------------------------------------------- #
 
@@ -270,6 +222,23 @@ def test_pacing_survives_replay_tape_exhaustion(tmp_path):
     assert stats["devices"]["sim"] == round(sim_duration * setup.source.sample_rate)
     # ...at wall-clock pace (the bug finished in a few milliseconds).
     assert elapsed >= 0.6 * sim_duration
+
+
+def test_a_paced_pump_behind_schedule_still_feeds_its_writers(tmp_path):
+    """A pump behind its wall-clock schedule never sleeps, so it must yield.
+
+    At a tiny time scale every pacing delay is negative.  A pump that
+    yielded to the writers only by sleeping encoded all 50 frames before
+    a writer ran, and the 8-frame drop-oldest ring lapped the cursor.
+    """
+    with served_daemon(
+        tmp_path, duration=1.0, policy="drop-oldest", buffer_frames=8, time_scale=1e-9
+    ) as server:
+        swarm = run_swarm(server.address, 1, timeout=60.0)
+    (client,) = swarm.clients
+    assert encoded_frames(server) == 50
+    assert client.eos is not None and client.eos["frames_dropped"] == 0
+    assert client.frames == 50
 
 
 # --------------------------------------------------------------------- #

@@ -24,12 +24,15 @@ import os
 import time
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError, StreamStalledError
 from repro.core.fleet import Fleet, build_bench
+from repro.core.sources import SampleBlock
+from repro.server.daemon import PowerSensorServer
 from repro.transport import shm
 from repro.transport.shm import (
     _HEADER,
@@ -355,3 +358,50 @@ def test_fleet_spec_accepts_producer_options():
     block = fleet.read_all(0.1)
     assert len(block["p"]) == 2000
     fleet.close()
+
+
+# --------------------------------------------------------------------- #
+# Server reads: raw slices framed at the chunk cadence                  #
+# --------------------------------------------------------------------- #
+
+
+def numbered_block(n: int) -> SampleBlock:
+    return SampleBlock(
+        times=np.arange(n, dtype=float),
+        values=np.zeros((n, 8)),
+        markers=np.zeros(n, dtype=bool),
+        enabled=np.ones(8, dtype=bool),
+    )
+
+
+def pieces(block, raw, produced, chunk):
+    """``PowerSensorServer._pieces`` as (sample times, payload, samples)."""
+    return [
+        (b.times.tolist(), payload, n)
+        for b, payload, n in PowerSensorServer._pieces(block, raw, produced, chunk)
+    ]
+
+
+def test_split_raw_reframes_clean_batches():
+    raw = bytes(range(120))  # 20 samples at 6 bytes/sample
+    out = pieces(numbered_block(20), raw, 20, 8)
+    assert [(times[0], len(p) // 6, n) for times, p, n in out] == [
+        (0.0, 8, 8), (8.0, 8, 8), (16.0, 4, 4)
+    ]
+    assert [len(times) for times, _, _ in out] == [8, 8, 4]
+    assert b"".join(p for _, p, _ in out) == raw
+    # A device without wire bytes is cut the same way.
+    assert [(len(t), p, n) for t, p, n in pieces(numbered_block(20), None, 20, 8)] == [
+        (8, None, 8), (8, None, 8), (4, None, 4)
+    ]
+
+
+def test_split_raw_passes_through_small_and_mangled_reads():
+    raw = bytes(60)
+    # fits one chunk
+    assert pieces(numbered_block(10), raw, 10, 16) == [(list(range(10)), raw, 10)]
+    mangled = bytes(61)  # fault-shortened: not a whole number of samples
+    assert pieces(numbered_block(20), mangled, 20, 8) == [(list(range(20)), mangled, 20)]
+    short = numbered_block(18)  # two samples lost in decode
+    assert pieces(short, bytes(120), 20, 8) == [(list(range(18)), bytes(120), 20)]
+    assert pieces(numbered_block(0), b"", 8, 4) == [([], b"", 8)]  # a stalled read
