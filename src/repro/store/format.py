@@ -15,7 +15,9 @@ the byte-level diagrams):
   a query checksums exactly the bytes it serves, and corrupt data is
   detected before a single damaged row can escape.  Tier 1 is the raw
   samples; coarser tiers carry per-bucket min/mean/max envelopes (and
-  bucket mean times / any-marker bits) computed once at seal time.
+  bucket mean times / any-marker bits).  The store's journal builds
+  each bucket once, as its rows arrive; a seal lays the rows and the
+  tiers out in one image buffer.
 
 * **The active journal** (``seg-NNNNNN.jrnl``) — the append-only
   write-ahead file of the segment currently being filled.  A CRC'd JSON
@@ -39,16 +41,15 @@ from pathlib import Path
 import numpy as np
 
 from repro.common.errors import StoreError
-from repro.hardware.eeprom import SENSORS
 
 FORMAT_VERSION = 2
 SEGMENT_MAGIC = b"PSSTSEG1"
 SEGMENT_TAIL = b"PSS1"
 JOURNAL_MAGIC = b"PSSTJRN1"
 
-#: Downsampling factors computed at seal time (tier 1, the raw samples,
-#: is always present).  Two coarse tiers keep any zoom level within a
-#: 64x read amplification of the ideal row count.
+#: The coarse tiers of a new store (tier 1, the raw samples, is always
+#: present).  Two coarse tiers keep any zoom level within a 64x read
+#: amplification of the ideal row count.
 DEFAULT_TIER_FACTORS = (64, 4096)
 
 _FOOTER = struct.Struct("<II")  # meta length, CRC-32 of the meta block
@@ -65,33 +66,25 @@ def _packed_len(rows: int) -> int:
     return (rows + 7) // 8
 
 
-class _Layout:
-    """Accumulates array blobs and records their 8-aligned offsets."""
+#: One downsampling tier as :func:`compute_tier` returns it.
+Tier = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-    def __init__(self, base: int) -> None:
-        self.parts: list[bytes] = []
-        self.offset = base
 
-    def put(self, data: bytes) -> int:
-        at = self.offset
-        self.parts.append(data)
-        self.offset += len(data)
-        pad = _align(self.offset) - self.offset
-        if pad:
-            self.parts.append(b"\x00" * pad)
-            self.offset += pad
-        return at
+def _json_bytes(obj: dict) -> bytes:
+    return json.dumps(obj, separators=(",", ":")).encode("utf-8")
 
 
 def compute_tier(
     times: np.ndarray, values: np.ndarray, markers: np.ndarray, factor: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tier:
     """Downsample raw rows into ``factor``-sized buckets.
 
     Returns ``(times, mins, means, maxs, markers)``: bucket mean times,
     per-column min/mean/max over each bucket (``values`` is ``(n,
     n_cols)``), and the bucket's any-marker flag.  The final bucket may
-    be partial; its statistics cover only the rows it holds.
+    be partial; its statistics cover only the rows it holds.  Each
+    bucket depends only on its own rows, so running this over any run
+    of whole buckets gives those buckets bit for bit.
     """
     n = times.size
     edges = np.arange(0, n, factor, dtype=np.int64)
@@ -108,19 +101,23 @@ def encode_segment(
     times: np.ndarray,
     values: np.ndarray,
     markers: np.ndarray,
+    tiers: dict[int, Tier],
     *,
     columns: list[int],
     enabled: np.ndarray,
-    tier_factors: tuple[int, ...] = DEFAULT_TIER_FACTORS,
     sample_rate: float = 0.0,
     device: str | None = None,
     pair_names: list[str] | None = None,
-) -> bytes:
-    """Encode raw rows into one sealed segment file image.
+) -> bytearray:
+    """Encode raw rows and their coarse tiers into one sealed segment file image.
 
     ``values`` is ``(n, len(columns))``: only the stored sensor columns,
     in ``columns`` order (the query layer reconstructs the full sensor
-    width with zeros for the rest).
+    width with zeros for the rest).  ``tiers`` maps each coarse factor,
+    ascending, to :func:`compute_tier` of all ``n`` rows.  Every array's
+    offset is laid out first, then each column is copied once into one
+    preallocated image, and each tier's CRC is taken over its region of
+    that image.
     """
     n = int(times.size)
     if n == 0:
@@ -130,61 +127,36 @@ def encode_segment(
             f"values shape {values.shape} does not match {n} rows x "
             f"{len(columns)} columns"
         )
-    layout = _Layout(len(SEGMENT_MAGIC))
+    # (factor, times, per-column matrices, marker flags), in file order.
+    sections = [(1, times, {"values": values}, markers)]
+    sections += [
+        (factor, t_mean, {"min": mins, "mean": means, "max": maxs}, any_marker)
+        for factor, (t_mean, mins, means, maxs, any_marker) in tiers.items()
+    ]
     tiers_meta: list[dict] = []
-
-    def put_cols(matrix: np.ndarray) -> list[int]:
-        return [
-            layout.put(np.ascontiguousarray(matrix[:, j], dtype=_F8).tobytes())
-            for j in range(matrix.shape[1])
-        ]
-
-    def seal_region(tier: dict, start: int, first_part: int) -> dict:
-        # Each tier's contiguous byte region carries its own CRC so a
-        # reader verifies only the tiers it actually serves from.
-        tier["start"] = start
-        tier["end"] = layout.offset
-        tier["crc"] = zlib.crc32(b"".join(layout.parts[first_part:])) & 0xFFFFFFFF
-        return tier
-
-    start, first = layout.offset, len(layout.parts)
-    tiers_meta.append(
-        seal_region(
-            {
-                "factor": 1,
-                "n": n,
-                "times": layout.put(np.ascontiguousarray(times, dtype=_F8).tobytes()),
-                "values": put_cols(values),
-                "markers": layout.put(
-                    np.packbits(np.asarray(markers, dtype=bool)).tobytes()
-                ),
-            },
-            start,
-            first,
-        )
-    )
-    for factor in tier_factors:
-        t_mean, mins, means, maxs, any_marker = compute_tier(
-            times, values, markers, factor
-        )
-        start, first = layout.offset, len(layout.parts)
-        tiers_meta.append(
-            seal_region(
-                {
-                    "factor": int(factor),
-                    "n": int(t_mean.size),
-                    "times": layout.put(
-                        np.ascontiguousarray(t_mean, dtype=_F8).tobytes()
-                    ),
-                    "min": put_cols(mins),
-                    "mean": put_cols(means),
-                    "max": put_cols(maxs),
-                    "markers": layout.put(np.packbits(any_marker).tobytes()),
-                },
-                start,
-                first,
-            )
-        )
+    writes: list[tuple[int, np.dtype, np.ndarray]] = []  # (offset, file dtype, array)
+    at = len(SEGMENT_MAGIC)
+    for factor, t, matrices, flags in sections:
+        start, rows = at, int(t.size)
+        tier: dict = {"factor": int(factor), "n": rows, "times": at}
+        writes.append((at, _F8, t))
+        at += 8 * rows
+        for key, matrix in matrices.items():
+            tier[key] = []
+            for j in range(matrix.shape[1]):
+                tier[key].append(at)
+                writes.append((at, _F8, matrix[:, j]))
+                at += 8 * rows
+        packed = np.packbits(np.asarray(flags, dtype=bool))
+        writes.append((at, packed.dtype, packed))
+        tier["markers"] = at
+        at = _align(at + packed.size)
+        # Each tier's contiguous region (padding included) carries its
+        # own CRC so a reader verifies only the tiers it serves from.
+        # The placeholder is the widest CRC, so the meta below is sized
+        # for any CRC it will hold.
+        tier.update(start=start, end=at, crc=0xFFFFFFFF)
+        tiers_meta.append(tier)
 
     meta = {
         "version": FORMAT_VERSION,
@@ -198,10 +170,22 @@ def encode_segment(
         "columns": [int(c) for c in columns],
         "tiers": tiers_meta,
     }
-    meta_bytes = json.dumps(meta, separators=(",", ":")).encode("utf-8")
-    body = b"".join([SEGMENT_MAGIC, *layout.parts, meta_bytes])
+    tail = _FOOTER.size + len(SEGMENT_TAIL)
+    image = bytearray(at + len(_json_bytes(meta)) + tail)
+    image[: len(SEGMENT_MAGIC)] = SEGMENT_MAGIC
+    for offset, dtype, array in writes:
+        np.frombuffer(image, dtype=dtype, count=array.size, offset=offset)[:] = array
+    with memoryview(image) as view:
+        for tier in tiers_meta:
+            tier["crc"] = zlib.crc32(view[tier["start"] : tier["end"]]) & 0xFFFFFFFF
+    meta_bytes = _json_bytes(meta)
+    end = at + len(meta_bytes)
+    image[at:end] = meta_bytes
     crc = zlib.crc32(meta_bytes + struct.pack("<I", len(meta_bytes))) & 0xFFFFFFFF
-    return body + _FOOTER.pack(len(meta_bytes), crc) + SEGMENT_TAIL
+    _FOOTER.pack_into(image, end, len(meta_bytes), crc)
+    image[end + _FOOTER.size : end + tail] = SEGMENT_TAIL
+    del image[end + tail :]  # the room a shorter CRC left
+    return image
 
 
 class SealedSegment:
@@ -400,7 +384,7 @@ class SealedSegment:
 
 def encode_journal_header(header: dict) -> bytes:
     """The journal preamble: magic, then a CRC'd JSON header."""
-    payload = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    payload = _json_bytes(header)
     return JOURNAL_MAGIC + _JHEAD.pack(len(payload), zlib.crc32(payload)) + payload
 
 

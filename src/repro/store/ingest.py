@@ -56,16 +56,15 @@ def import_dump(
     values[:, 1 : 2 * n_pairs : 2] = data.volts
     markers = map_markers(data.times, data.markers) if n else np.zeros(0, dtype=bool)
 
-    kwargs = {} if tier_factors is None else {"tier_factors": tier_factors}
     store = TelemetryStore(
         store_path,
         roll_samples=roll_samples,
+        tier_factors=tier_factors,
         device=device,
         sample_rate=float(data.sample_rate_hz),
         pair_names=list(data.pair_names),
         registry=registry,
         tracer=tracer,
-        **kwargs,
     )
     for start in range(0, n, IMPORT_BLOCK):
         stop = min(start + IMPORT_BLOCK, n)

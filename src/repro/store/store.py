@@ -2,12 +2,16 @@
 
 :class:`TelemetryStore` owns a directory of sealed segments (see
 :mod:`repro.store.format`) plus at most one active journal.  Samples
-append to the journal (and to an in-memory mirror of it); once
+append to the journal file and to :class:`_Journal`, which holds the
+journal's rows in memory as one segment: row arrays, plus each
+downsampling tier's buckets, built once as their rows arrive.  Once
 ``roll_samples`` rows accumulate the journal seals into an immutable
-segment with its downsampling tiers and CRC footer.  Queries pick the
-coarsest tier that still satisfies ``max_points`` — a zoomed-out view
-over a hundred-million-sample store reads kilobytes, not gigabytes —
-and exact (tier 1) queries reproduce the appended rows bit-for-bit.
+segment with those tiers and a CRC footer.  Queries read the journal
+as they read a sealed segment, from the coarsest tier that still
+satisfies ``max_points`` — a zoomed-out view over a
+hundred-million-sample store reads kilobytes, not gigabytes — so an
+answer does not depend on whether its rows have sealed, and exact
+(tier 1) queries reproduce the appended rows bit-for-bit.
 
 Opening a store *is* crash recovery: sealed segments that fail their
 CRC are quarantined (renamed ``*.quarantine``) rather than served or
@@ -28,6 +32,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -38,6 +43,8 @@ from repro.observability import MetricsRegistry, Tracer
 from repro.store.format import (
     DEFAULT_TIER_FACTORS,
     SealedSegment,
+    Tier,
+    compute_tier,
     encode_journal_chunk,
     encode_journal_header,
     encode_segment,
@@ -78,6 +85,157 @@ class StoreQueryResult:
         return (self.values[:, 0::2] * self.values[:, 1::2]).sum(axis=1)
 
 
+class _Rows:
+    """Arrays that share a row count and grow geometrically as rows arrive.
+
+    The arrays are times, ``matrices`` ``(rows, n_cols)`` value matrices
+    and marker flags, the layout of raw rows and of :data:`Tier`.  Rows
+    below ``n`` are never written again, so a view of them stays valid.
+    """
+
+    def __init__(self, n_cols: int, matrices: int) -> None:
+        self.n = 0
+        self._arrays: list[np.ndarray] = [
+            np.empty(0),
+            *(np.empty((0, n_cols)) for _ in range(matrices)),
+            np.empty(0, dtype=bool),
+        ]
+
+    def extend(self, *parts: np.ndarray) -> None:
+        """Append rows, one part per array and each part as long."""
+        stop = self.n + len(parts[0])
+        if stop > len(self._arrays[0]):
+            capacity = max(stop, 2 * len(self._arrays[0]))
+            grown = []
+            for array in self._arrays:
+                bigger = np.empty((capacity, *array.shape[1:]), dtype=array.dtype)
+                bigger[: self.n] = array[: self.n]
+                grown.append(bigger)
+            self._arrays = grown
+        for array, part in zip(self._arrays, parts, strict=True):
+            array[self.n : stop] = part
+        self.n = stop
+
+    def view(self, lo: int = 0, hi: int | None = None) -> list[np.ndarray]:
+        """Every array's rows ``[lo, hi)`` (to ``n`` by default), as views."""
+        return [array[lo : self.n if hi is None else hi] for array in self._arrays]
+
+
+class _Journal:
+    """The active journal: its file, and its rows as one in-memory segment.
+
+    Each coarse tier's complete buckets are computed once, by
+    :func:`compute_tier` over exactly their rows on the bucket grid the
+    sealed segment will have, so they are bit-identical to the sealed
+    tier; the partial last bucket is computed on the first read after
+    an append.  The read interface is :class:`SealedSegment`'s, so a
+    query reads the journal as it reads a sealed segment, and a seal
+    encodes the rows and buckets held here.
+    """
+
+    def __init__(
+        self, directory: Path, index: int, header: dict, tier_factors: tuple[int, ...]
+    ) -> None:
+        self.path = directory / f"seg-{index:06d}.jrnl"
+        self.index = index
+        self.columns: list[int] = [int(c) for c in header["columns"]]
+        self.enabled = np.asarray(header["enabled"], dtype=bool)
+        self.sample_rate = float(header["sample_rate"])
+        self.device: str | None = header["device"]
+        self.pair_names: list[str] = list(header["pair_names"])
+        self.n = 0
+        self._rows = _Rows(len(self.columns), 1)
+        self._buckets = {f: _Rows(len(self.columns), 3) for f in tier_factors}
+        self._tiers: dict[int, Tier] = {}  # whole tiers read since the last append
+        self._file: BinaryIO | None = None
+
+    @classmethod
+    def create(
+        cls, directory: Path, index: int, header: dict, tier_factors: tuple[int, ...]
+    ) -> _Journal:
+        """A new, empty journal file."""
+        journal = cls(directory, index, header, tier_factors)
+        journal._file = open(journal.path, "wb")
+        journal._file.write(encode_journal_header(header))
+        journal._file.flush()
+        return journal
+
+    def append(self, times: np.ndarray, values: np.ndarray, markers: np.ndarray) -> None:
+        """Write one chunk to the journal file, then hold its rows."""
+        assert self._file is not None, "a salvaged journal is read-only"
+        self._file.write(encode_journal_chunk(times, values, markers))
+        self._file.flush()
+        self.extend(times, values, markers)
+
+    def extend(self, times: np.ndarray, values: np.ndarray, markers: np.ndarray) -> None:
+        """Hold rows and compute every bucket they complete."""
+        self._rows.extend(times, values, markers)
+        self.n = self._rows.n
+        self._tiers = {}
+        for factor, buckets in self._buckets.items():
+            lo, hi = buckets.n * factor, self.n - self.n % factor
+            if hi > lo:
+                rows = self._rows.view(lo, hi)
+                buckets.extend(*compute_tier(rows[0], rows[1], rows[2], factor))
+
+    def close(self) -> None:
+        """Close the journal file (the rows stay readable)."""
+        if self._file is not None:
+            self._file.close()
+            self._file = None
+
+    def rows(self) -> list[np.ndarray]:
+        """Views of every row held: times, ``(n, n_cols)`` values, markers."""
+        return self._rows.view()
+
+    def tier(self, factor: int) -> Tier:
+        """Every bucket of a coarse tier, a partial last one included."""
+        if factor not in self._tiers:
+            complete = self._buckets[factor]
+            arrays = complete.view()
+            start = complete.n * factor
+            if start < self.n:
+                rows = self._rows.view(start)
+                partial = compute_tier(rows[0], rows[1], rows[2], factor)
+                arrays = [np.concatenate(pair) for pair in zip(arrays, partial, strict=True)]
+            t, mins, means, maxs, flags = arrays
+            self._tiers[factor] = (t, mins, means, maxs, flags)
+        return self._tiers[factor]
+
+    def tiers(self) -> dict[int, Tier]:
+        return {factor: self.tier(factor) for factor in self._buckets}
+
+    # The read interface of SealedSegment.
+
+    @property
+    def tier_factors(self) -> list[int]:
+        return [1, *self._buckets]
+
+    @property
+    def t0(self) -> float:
+        return float(self.times()[0])
+
+    @property
+    def t1(self) -> float:
+        return float(self.times()[-1])
+
+    def times(self, factor: int = 1) -> np.ndarray:
+        return self.rows()[0] if factor == 1 else self.tier(factor)[0]
+
+    def search(self, t: float, side: str = "left", factor: int = 1) -> int:
+        return int(np.searchsorted(self.times(factor), t, side=side))
+
+    def read_raw(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows ``[lo, hi)``: (times, values ``(k, n_cols)``, markers), copied."""
+        times, values, markers = (array.copy() for array in self._rows.view(lo, hi))
+        return times, values, markers
+
+    def read_tier(self, factor: int, lo: int = 0, hi: int | None = None) -> Tier:
+        """Buckets ``[lo, hi)`` of a coarse tier: (times, min, mean, max, markers)."""
+        t, mins, means, maxs, flags = (array[lo:hi].copy() for array in self.tier(factor))
+        return t, mins, means, maxs, flags
+
+
 class TelemetryStore:
     """An append-only segment store for one device's sample stream."""
 
@@ -86,7 +244,7 @@ class TelemetryStore:
         path: str | Path,
         *,
         roll_samples: int = 1_000_000,
-        tier_factors: tuple[int, ...] = DEFAULT_TIER_FACTORS,
+        tier_factors: tuple[int, ...] | None = None,
         retention_seconds: float | None = None,
         retention_bytes: int | None = None,
         device: str | None = None,
@@ -97,7 +255,11 @@ class TelemetryStore:
     ) -> None:
         if roll_samples < 1:
             raise ConfigurationError(f"roll_samples must be >= 1, got {roll_samples}")
-        factors = tuple(int(f) for f in tier_factors)
+        # None: a new store takes the default tiers, a reopened one those
+        # of its newest segment.
+        factors = tuple(
+            int(f) for f in (DEFAULT_TIER_FACTORS if tier_factors is None else tier_factors)
+        )
         if any(f < 2 for f in factors) or list(factors) != sorted(set(factors)):
             raise ConfigurationError(
                 f"tier factors must be distinct, ascending and >= 2, got {tier_factors}"
@@ -144,17 +306,10 @@ class TelemetryStore:
 
         self.segments: list[SealedSegment] = []
         self._closed = False
-        self._jfile = None
-        self._jpath: Path | None = None
-        self._jrows = 0
-        self._jenabled: np.ndarray | None = None
-        self._jcolumns: list[int] = []
-        self._jtimes: list[np.ndarray] = []
-        self._jvalues: list[np.ndarray] = []
-        self._jmarkers: list[np.ndarray] = []
+        self._journal: _Journal | None = None
 
         self.path.mkdir(parents=True, exist_ok=True)
-        self._recover()
+        self._recover(adopt_tiers=tier_factors is None)
         if self.segments:
             # A reopened store adopts the identity it was recorded with.
             newest = self.segments[-1]
@@ -170,8 +325,13 @@ class TelemetryStore:
     # Recovery                                                           #
     # ------------------------------------------------------------------ #
 
-    def _recover(self) -> None:
-        """Open every sealed segment; salvage and seal any leftover journal."""
+    def _recover(self, adopt_tiers: bool) -> None:
+        """Open every sealed segment; salvage and seal any leftover journal.
+
+        With ``adopt_tiers`` the store first takes the newest segment's
+        coarse tier factors, so its queries find those tiers and a
+        salvaged journal seals with them too.
+        """
         sealed: list[tuple[int, Path]] = []
         journals: list[tuple[int, Path]] = []
         for entry in sorted(self.path.iterdir()):
@@ -192,6 +352,8 @@ class TelemetryStore:
                 sealed_indices.add(index)
             except StoreError:
                 self._quarantine(path)
+        if adopt_tiers and self.segments:
+            self.tier_factors = tuple(self.segments[-1].tier_factors[1:])
         for index, path in journals:
             if index in sealed_indices:
                 # The seal published but the crash beat the journal
@@ -205,22 +367,15 @@ class TelemetryStore:
                 self._quarantine(path, count=False)
                 continue
             if times.size:
-                columns = [int(c) for c in header.get("columns", [])]
-                enabled = np.asarray(
-                    header.get("enabled", [False] * SENSORS), dtype=bool
-                )
-                image = encode_segment(
-                    times,
-                    values,
-                    markers,
-                    columns=columns,
-                    enabled=enabled,
-                    tier_factors=self.tier_factors,
-                    sample_rate=float(header.get("sample_rate", self.sample_rate)),
-                    device=header.get("device", self.device),
-                    pair_names=header.get("pair_names", self.pair_names),
-                )
-                self.segments.append(self._write_sealed(index, image))
+                identity = {
+                    "enabled": [False] * SENSORS,
+                    "sample_rate": self.sample_rate,
+                    "device": self.device,
+                    "pair_names": self.pair_names,
+                }
+                journal = _Journal(self.path, index, {**identity, **header}, self.tier_factors)
+                journal.extend(times, values, markers)
+                self._seal(journal)
             if damaged:
                 self._quarantine(path, count=False)
             else:
@@ -245,7 +400,7 @@ class TelemetryStore:
         self._quarantine(seg.path)
         self._update_bytes_gauge()
 
-    def _write_sealed(self, index: int, image: bytes) -> SealedSegment:
+    def _write_sealed(self, index: int, image: bytes | bytearray) -> SealedSegment:
         """Atomically publish a segment image as ``seg-NNNNNN.seg``."""
         final = self.path / f"seg-{index:06d}.seg"
         tmp = final.with_suffix(".seg.tmp")
@@ -276,81 +431,66 @@ class TelemetryStore:
         if n == 0:
             return
         enabled = np.asarray(block.enabled, dtype=bool)
-        if self._jenabled is not None and not np.array_equal(enabled, self._jenabled):
+        if self._journal is not None and not np.array_equal(enabled, self._journal.enabled):
             self.seal()  # the column set changed: segments are homogeneous
-        if self._jfile is None:
-            self._open_journal(enabled)
-        values = np.ascontiguousarray(block.values[:, self._jcolumns])
-        assert self._jfile is not None
-        self._jfile.write(encode_journal_chunk(block.times, values, block.markers))
-        self._jfile.flush()
-        self._jtimes.append(np.asarray(block.times, dtype=float).copy())
-        self._jvalues.append(values)
-        self._jmarkers.append(np.asarray(block.markers, dtype=bool).copy())
-        self._jrows += n
+        if self._journal is None:
+            self._journal = self._open_journal(enabled)
+        journal = self._journal
+        journal.append(block.times, block.values[:, journal.columns], block.markers)
         self._appended_counter.inc(n)
-        if self._jrows >= self.roll_samples:
+        if journal.n >= self.roll_samples:
             self.seal()
 
-    def _open_journal(self, enabled: np.ndarray) -> None:
+    def _open_journal(self, enabled: np.ndarray) -> _Journal:
         index = self._next_index()
-        self._jpath = self.path / f"seg-{index:06d}.jrnl"
-        self._jenabled = enabled.copy()
-        self._jcolumns = [int(c) for c in np.flatnonzero(enabled)]
         header = {
             "version": 1,
-            "columns": self._jcolumns,
+            "columns": [int(c) for c in np.flatnonzero(enabled)],
             "enabled": [bool(e) for e in enabled],
             "sample_rate": self.sample_rate,
             "device": self.device,
             "pair_names": self.pair_names,
         }
-        self._jfile = open(self._jpath, "wb")
-        self._jfile.write(encode_journal_header(header))
-        self._jfile.flush()
+        return _Journal.create(self.path, index, header, self.tier_factors)
 
     def seal(self) -> SealedSegment | None:
-        """Seal the active journal into an immutable segment (if non-empty)."""
-        if self._jfile is None:
+        """Seal the active journal into an immutable segment (if non-empty).
+
+        The journal's file and rows are dropped only once the segment is
+        published: if the seal fails (a full disk, say), they stay, and
+        the next append or :meth:`close` seals again.
+        """
+        journal = self._journal
+        if journal is None:
             return None
-        self._jfile.close()
-        jpath, rows = self._jpath, self._jrows
-        times = np.concatenate(self._jtimes) if self._jtimes else np.zeros(0)
-        values = (
-            np.vstack(self._jvalues)
-            if self._jvalues
-            else np.zeros((0, len(self._jcolumns)))
-        )
-        markers = (
-            np.concatenate(self._jmarkers) if self._jmarkers else np.zeros(0, dtype=bool)
-        )
-        columns, enabled = self._jcolumns, self._jenabled
-        self._reset_journal()
-        if rows == 0:
-            if jpath is not None:
-                jpath.unlink(missing_ok=True)
+        segment = self._seal(journal) if journal.n else None
+        journal.close()
+        journal.path.unlink(missing_ok=True)
+        self._journal = None
+        if segment is None:
             return None
+        self._sealed_counter.inc()
+        self._apply_retention()
+        self._update_bytes_gauge()
+        return segment
+
+    def _seal(self, journal: _Journal) -> SealedSegment:
+        """Publish a journal's rows and tiers as its segment (seal and salvage)."""
         with self.tracer.span("store_seal", **self._labels):
+            times, values, markers = journal.rows()
             image = encode_segment(
                 times,
                 values,
                 markers,
-                columns=columns,
-                enabled=enabled if enabled is not None else np.zeros(SENSORS, bool),
-                tier_factors=self.tier_factors,
-                sample_rate=self.sample_rate,
-                device=self.device,
-                pair_names=self.pair_names,
+                journal.tiers(),
+                columns=journal.columns,
+                enabled=journal.enabled,
+                sample_rate=journal.sample_rate,
+                device=journal.device,
+                pair_names=journal.pair_names,
             )
-            match = _JOURNAL_RE.match(jpath.name) if jpath is not None else None
-            index = int(match.group(1)) if match else self._next_index()
-            segment = self._write_sealed(index, image)
-        if jpath is not None:
-            jpath.unlink(missing_ok=True)
+            segment = self._write_sealed(journal.index, image)
         self.segments.append(segment)
-        self._sealed_counter.inc()
-        self._apply_retention()
-        self._update_bytes_gauge()
         return segment
 
     def abandon(self) -> None:
@@ -359,41 +499,22 @@ class TelemetryStore:
         The active journal file stays on disk exactly as written — the
         crash-recovery tests reopen (and damage) it from here.
         """
-        if self._jfile is not None and not self._jfile.closed:
-            self._jfile.close()
-        self._reset_journal()
+        if self._journal is not None:
+            self._journal.close()
+            self._journal = None
         self._close_segments()
         self._closed = True
-
-    def _reset_journal(self) -> None:
-        self._jfile = None
-        self._jpath = None
-        self._jrows = 0
-        self._jenabled = None
-        self._jcolumns = []
-        self._jtimes = []
-        self._jvalues = []
-        self._jmarkers = []
 
     # ------------------------------------------------------------------ #
     # Retention                                                          #
     # ------------------------------------------------------------------ #
 
-    def _latest_time(self) -> float | None:
-        latest = None
-        if self._jtimes:
-            latest = float(self._jtimes[-1][-1])
-        elif self.segments:
-            latest = max(seg.t1 for seg in self.segments)
-        return latest
-
     def _apply_retention(self) -> None:
+        """Prune after a seal (the journal is empty, the newest row sealed)."""
         if self.retention_seconds is not None and self.segments:
-            latest = self._latest_time()
-            if latest is not None:
-                cutoff = latest - float(self.retention_seconds)
-                while self.segments and self.segments[0].t1 < cutoff:
-                    self._prune(self.segments.pop(0))
+            cutoff = max(seg.t1 for seg in self.segments) - float(self.retention_seconds)
+            while self.segments and self.segments[0].t1 < cutoff:
+                self._prune(self.segments.pop(0))
         if self.retention_bytes is not None:
             while (
                 len(self.segments) > 1
@@ -413,10 +534,17 @@ class TelemetryStore:
     # Queries                                                            #
     # ------------------------------------------------------------------ #
 
+    def _parts(self) -> list[SealedSegment | _Journal]:
+        """The sealed segments, then the journal if it holds rows."""
+        parts: list[SealedSegment | _Journal] = list(self.segments)
+        if self._journal is not None and self._journal.n:
+            parts.append(self._journal)
+        return parts
+
     @property
     def sample_count(self) -> int:
         """Raw samples currently held (sealed segments + active journal)."""
-        return sum(seg.n for seg in self.segments) + self._jrows
+        return sum(part.n for part in self._parts())
 
     @property
     def nbytes(self) -> int:
@@ -425,14 +553,10 @@ class TelemetryStore:
 
     def time_range(self) -> tuple[float, float] | None:
         """The ``(t0, t1)`` span currently held, or None when empty."""
-        t0s = [seg.t0 for seg in self.segments]
-        t1s = [seg.t1 for seg in self.segments]
-        if self._jtimes:
-            t0s.append(float(self._jtimes[0][0]))
-            t1s.append(float(self._jtimes[-1][-1]))
-        if not t0s:
+        parts = self._parts()
+        if not parts:
             return None
-        return min(t0s), max(t1s)
+        return min(part.t0 for part in parts), max(part.t1 for part in parts)
 
     def query(
         self,
@@ -448,7 +572,10 @@ class TelemetryStore:
         read (raw if the range is small enough), with a final bucketing
         pass guaranteeing the bound.  Tier selection is approximate at
         bucket granularity: a coarse bucket straddling ``t0``/``t1`` is
-        included when its mean time falls inside the range.
+        included when its mean time falls inside the range.  The
+        journal is read through the same tiers as the sealed segments,
+        so the answer is the same before and after its rows seal; only
+        the newest bucket changes while rows still arrive into it.
         """
         if max_points is not None and max_points < 1:
             raise ConfigurationError(f"max_points must be >= 1, got {max_points}")
@@ -456,24 +583,16 @@ class TelemetryStore:
         hi_t = float("inf") if t1 is None else float(t1)
         self._queries_counter.inc()
 
-        journal = self._journal_arrays()
-        spans: list[tuple[SealedSegment, int, int]] = []
+        spans: list[tuple[SealedSegment | _Journal, int, int]] = []
         n_source = 0
-        for seg in self.segments:
-            if seg.t1 < lo_t or seg.t0 > hi_t:
+        for part in self._parts():
+            if part.t1 < lo_t or part.t0 > hi_t:
                 continue
-            lo = seg.search(lo_t, "left")
-            hi = seg.search(hi_t, "right")
+            lo = part.search(lo_t, "left")
+            hi = part.search(hi_t, "right")
             if hi > lo:
-                spans.append((seg, lo, hi))
+                spans.append((part, lo, hi))
                 n_source += hi - lo
-        j_span = (0, 0)
-        if journal is not None:
-            j_lo = int(np.searchsorted(journal[0], lo_t, side="left"))
-            j_hi = int(np.searchsorted(journal[0], hi_t, side="right"))
-            if j_hi > j_lo:
-                j_span = (j_lo, j_hi)
-                n_source += j_hi - j_lo
 
         factor = 1
         if max_points is not None and n_source > max_points:
@@ -483,32 +602,15 @@ class TelemetryStore:
                     break
 
         with self.tracer.span("store_query", factor=str(factor), **self._labels):
-            result, dropped = self._gather(spans, journal, j_span, lo_t, hi_t, factor)
+            result, dropped = self._gather(spans, lo_t, hi_t, factor)
         if max_points is not None and len(result) > max_points:
             result = _coarsen(result, -(-len(result) // max_points))
         result.n_source = n_source - dropped
         return result
 
-    def _journal_arrays(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], np.ndarray] | None:
-        if not self._jtimes:
-            return None
-        return (
-            np.concatenate(self._jtimes),
-            np.vstack(self._jvalues),
-            np.concatenate(self._jmarkers),
-            self._jcolumns,
-            self._jenabled
-            if self._jenabled is not None
-            else np.zeros(SENSORS, dtype=bool),
-        )
-
     def _gather(
         self,
-        spans: list[tuple[SealedSegment, int, int]],
-        journal,
-        j_span: tuple[int, int],
+        spans: list[tuple[SealedSegment | _Journal, int, int]],
         lo_t: float,
         hi_t: float,
         factor: int,
@@ -550,6 +652,8 @@ class TelemetryStore:
                     vmean_d = dense(seg.columns, vmean)
                     vmax_d = dense(seg.columns, vmax)
             except StoreError:
+                if not isinstance(seg, SealedSegment):
+                    raise  # only a sealed segment's mapped bytes are checked
                 damaged.append(seg)
                 dropped += raw_hi - raw_lo
                 continue
@@ -562,16 +666,6 @@ class TelemetryStore:
             marker_parts.append(m)
         for seg in damaged:
             self._quarantine_open(seg)
-        if journal is not None and j_span[1] > j_span[0]:
-            j_times, j_values, j_markers, j_cols, j_enabled = journal
-            enabled |= j_enabled
-            lo, hi = j_span
-            d = dense(j_cols, j_values[lo:hi])
-            times_parts.append(j_times[lo:hi].copy())
-            mean_parts.append(d)
-            min_parts.append(d)
-            max_parts.append(d)
-            marker_parts.append(j_markers[lo:hi].copy())
 
         if not times_parts:
             empty = np.zeros((0, SENSORS))

@@ -18,8 +18,13 @@ Covers PR 8 end to end:
 
 from __future__ import annotations
 
+import dataclasses
+import errno
+import hashlib
 import io
+import json
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +43,9 @@ from repro.hardware.eeprom import SENSORS
 from repro.observability import MetricsRegistry
 from repro.server import PowerSensorServer, RemoteSampleSource
 from repro.store import (
+    DEFAULT_TIER_FACTORS,
     SealedSegment,
+    StoreQueryResult,
     TelemetryStore,
     import_dump,
     tail_source,
@@ -90,6 +97,31 @@ def fill_store(
             )
         )
     return times, values, markers
+
+
+def append_split(store: TelemetryStore, rows, cuts) -> None:
+    """Append ``rows`` as blocks cut at the row indices ``cuts``."""
+    times, values, markers = rows
+    edges = [0, *sorted(set(cuts) - {0, len(times)}), len(times)]
+    for start, stop in zip(edges[:-1], edges[1:]):
+        store.append(
+            SampleBlock(
+                times=times[start:stop],
+                values=values[start:stop],
+                markers=markers[start:stop],
+                enabled=enabled_mask(),
+            )
+        )
+
+
+def assert_same_result(got: StoreQueryResult, expected: StoreQueryResult) -> None:
+    """Every field equal: arrays bit for bit and of one dtype."""
+    for field in dataclasses.fields(StoreQueryResult):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
 
 
 # --------------------------------------------------------------------------- #
@@ -192,6 +224,135 @@ def test_tiers_are_mutually_consistent(tmp_path_factory, n, seed):
         np.maximum.at(got_max, k4, max4)
         assert np.array_equal(got_min, min16)
         assert np.array_equal(got_max, max16)
+
+
+FACTOR_SETS = st.sampled_from([(4, 16), (2, 8, 64), (3,), DEFAULT_TIER_FACTORS])
+
+
+def split_and_queries(data, n: int):
+    """Draw cuts of ``n`` rows and 20 queries over ``synth_rows(n)``'s span."""
+    cuts = data.draw(st.lists(st.integers(1, n), max_size=12), label="cuts")
+    span = n / 1000.0
+    # A bound inside the data, outside it on either side, or open.
+    bound = st.one_of(st.none(), st.floats(-0.5, 1.5).map(lambda f: f * span))
+    queries = data.draw(
+        st.lists(
+            st.tuples(bound, bound, st.one_of(st.none(), st.integers(1, 500))),
+            min_size=20,
+            max_size=20,
+        ),
+        label="queries",
+    )
+    return cuts, queries
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n=st.integers(1, 3000),
+    roll=st.integers(1, 4000),
+    factors=FACTOR_SETS,
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_a_query_answer_does_not_depend_on_the_seal(
+    tmp_path_factory, n, roll, factors, seed, data
+):
+    """The journal answers through the tiers its segment will have."""
+    cuts, queries = split_and_queries(data, n)
+    tmp = tmp_path_factory.mktemp("store")
+    with TelemetryStore(tmp, roll_samples=roll, tier_factors=factors) as store:
+        append_split(store, synth_rows(n, seed=seed), cuts)
+        before = [store.query(t0, t1, max_points) for t0, t1, max_points in queries]
+        store.seal()
+        after = [store.query(t0, t1, max_points) for t0, t1, max_points in queries]
+    for got, expected in zip(after, before):
+        assert_same_result(got, expected)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n=st.integers(1, 3000),
+    roll=st.integers(1, 1500),
+    factors=FACTOR_SETS,
+    seed=st.integers(0, 2**16),
+    crash=st.booleans(),
+    data=st.data(),
+)
+def test_each_sealed_segment_is_its_whole_segment_encoding(
+    tmp_path_factory, n, roll, factors, seed, crash, data
+):
+    """A seal, or a reopen salvaging a crashed writer's journal, writes the
+    bytes of ``encode_segment`` over the segment's rows with every tier
+    computed over all of them at once."""
+    cuts, _ = split_and_queries(data, n)
+    tmp = tmp_path_factory.mktemp("store")
+    store = TelemetryStore(
+        tmp,
+        roll_samples=roll,
+        tier_factors=factors,
+        sample_rate=1000.0,
+        device="oracle",
+        pair_names=["a", "b"],
+    )
+    append_split(store, synth_rows(n, seed=seed), cuts)
+    # A reopened store takes its newest segment's tiers, an empty one the defaults.
+    expected = [1, *(factors if store.segments or not crash else DEFAULT_TIER_FACTORS)]
+    if crash:
+        store.abandon()
+        TelemetryStore(tmp).close()  # recovery seals the journal
+    else:
+        store.close()
+    paths = sorted(tmp.glob("*.seg"))
+    assert paths
+    for path in paths:
+        seg = SealedSegment(path)
+        try:
+            times, values, markers = seg.read_raw(0, seg.n)
+            image = encode_segment(
+                times,
+                values,
+                markers,
+                {f: compute_tier(times, values, markers, f) for f in seg.tier_factors[1:]},
+                columns=seg.columns,
+                enabled=seg.enabled,
+                sample_rate=seg.sample_rate,
+                device=seg.device,
+                pair_names=seg.pair_names,
+            )
+            assert seg.tier_factors == expected
+        finally:
+            seg.close()
+        assert path.read_bytes() == bytes(image)
+
+
+#: ``data/store_segment_pin.json`` holds the SHA-256 of every file of
+#: :func:`pinned_store_digests`' store at these tier settings.  It was
+#: generated at commit 17a3169, when a seal still re-read its rows to
+#: compute the tiers and joined the image from per-column byte strings.
+PIN_CASES = {"default": {}, "factors_4_16": {"tier_factors": (4, 16)}}
+PIN = json.loads((Path(__file__).parent / "data" / "store_segment_pin.json").read_text())
+
+
+def pinned_store_digests(path: Path, **options) -> dict[str, str]:
+    """A seeded store of 25,000 rows in uneven appends, rolled every 10,000."""
+    n = 25_000
+    rng = np.random.default_rng(32)
+    cuts = np.cumsum(rng.integers(1, 3000, size=n)).tolist()
+    with TelemetryStore(
+        path,
+        roll_samples=10_000,
+        sample_rate=20_000.0,
+        device="pin",
+        pair_names=["p0", "p1"],
+        **options,
+    ) as store:
+        append_split(store, synth_rows(n, seed=32, rate=20_000.0), [c for c in cuts if c < n])
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(path.iterdir())}
+
+
+@pytest.mark.parametrize("case", sorted(PIN_CASES))
+def test_sealed_segments_match_the_pin(tmp_path, case):
+    assert pinned_store_digests(tmp_path, **PIN_CASES[case]) == PIN[case]
 
 
 def test_max_points_bound_always_holds(tmp_path):
@@ -442,6 +603,58 @@ def test_crash_between_publish_and_unlink_does_not_duplicate(tmp_path):
         assert store.sample_count == 120
         assert len(store.segments) == 1
     assert not list(tmp_path.glob("*.jrnl"))
+
+
+def test_a_failed_seal_keeps_its_rows_and_seals_again(tmp_path, monkeypatch):
+    """A seal that cannot publish (a full disk) drops nothing: the journal
+    keeps its file and rows, and the next append or close() seals them."""
+    write_sealed = TelemetryStore._write_sealed
+    failures = [OSError(errno.ENOSPC, "No space left on device")]
+
+    def flaky(self, index, image):
+        if failures:
+            raise failures.pop()
+        return write_sealed(self, index, image)
+
+    monkeypatch.setattr(TelemetryStore, "_write_sealed", flaky)
+    times, values, markers = synth_rows(300, seed=17)
+    store = TelemetryStore(tmp_path, roll_samples=100)
+    failed = 0
+    for start in range(0, 300, 50):
+        try:
+            fill = slice(start, start + 50)
+            store.append(
+                SampleBlock(
+                    times=times[fill], values=values[fill], markers=markers[fill],
+                    enabled=enabled_mask(),
+                )
+            )
+        except OSError:
+            failed += 1  # the caller carries on
+    assert failed == 1 and store.sample_count == 300
+    store.close()
+    with TelemetryStore(tmp_path) as reopened:
+        result = reopened.query(None, None, None)
+    assert np.array_equal(result.times, times)
+    assert np.array_equal(result.values, values)
+    assert np.array_equal(result.markers, markers)
+
+
+def test_a_reopened_store_keeps_the_tiers_it_was_recorded_with(tmp_path):
+    with TelemetryStore(tmp_path, roll_samples=250, tier_factors=(4, 16)) as store:
+        fill_store(store, 1000, seed=19, block=125)
+        before = store.query(None, None, 10)
+    assert before.factor > 16  # tier-16 buckets, re-bucketed to fit 10 rows
+    with TelemetryStore(tmp_path) as reopened:
+        assert reopened.tier_factors == (4, 16)
+        assert_same_result(reopened.query(None, None, 10), before)
+        fill_store(reopened, 100, seed=20, t0=1.0)
+        reopened.abandon()
+    # A journal left by a crash seals with the recorded tiers too.
+    with TelemetryStore(tmp_path) as salvaged:
+        assert [seg.tier_factors for seg in salvaged.segments] == [[1, 4, 16]] * 5
+    with TelemetryStore(tmp_path / "new") as empty:
+        assert empty.tier_factors == DEFAULT_TIER_FACTORS
 
 
 def test_journal_reader_reports_damage_flag(tmp_path):
@@ -837,10 +1050,11 @@ def test_encode_segment_rejects_bad_shapes():
     times, values, markers = synth_rows(10)
     with pytest.raises(StoreError, match="empty"):
         encode_segment(
-            np.zeros(0), np.zeros((0, 2)), np.zeros(0, dtype=bool),
+            np.zeros(0), np.zeros((0, 2)), np.zeros(0, dtype=bool), {},
             columns=[0, 1], enabled=enabled_mask(2),
         )
+    tiers = {4: compute_tier(times, values[:, :3], markers, 4)}
     with pytest.raises(StoreError, match="shape"):
         encode_segment(
-            times, values[:, :3], markers, columns=[0, 1], enabled=enabled_mask(2)
+            times, values[:, :3], markers, tiers, columns=[0, 1], enabled=enabled_mask(2)
         )
