@@ -229,13 +229,17 @@ def test_tiers_are_mutually_consistent(tmp_path_factory, n, seed):
 FACTOR_SETS = st.sampled_from([(4, 16), (2, 8, 64), (3,), DEFAULT_TIER_FACTORS])
 
 
-def split_and_queries(data, n: int):
-    """Draw cuts of ``n`` rows and 20 queries over ``synth_rows(n)``'s span."""
-    cuts = data.draw(st.lists(st.integers(1, n), max_size=12), label="cuts")
+def draw_cuts(data, n: int) -> list[int]:
+    """Draw the row indices at which ``n`` rows are cut into appends."""
+    return data.draw(st.lists(st.integers(1, n), max_size=12), label="cuts")
+
+
+def draw_queries(data, n: int) -> list[tuple]:
+    """Draw 20 queries over ``synth_rows(n)``'s span."""
     span = n / 1000.0
     # A bound inside the data, outside it on either side, or open.
     bound = st.one_of(st.none(), st.floats(-0.5, 1.5).map(lambda f: f * span))
-    queries = data.draw(
+    return data.draw(
         st.lists(
             st.tuples(bound, bound, st.one_of(st.none(), st.integers(1, 500))),
             min_size=20,
@@ -243,7 +247,6 @@ def split_and_queries(data, n: int):
         ),
         label="queries",
     )
-    return cuts, queries
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -258,7 +261,7 @@ def test_a_query_answer_does_not_depend_on_the_seal(
     tmp_path_factory, n, roll, factors, seed, data
 ):
     """The journal answers through the tiers its segment will have."""
-    cuts, queries = split_and_queries(data, n)
+    cuts, queries = draw_cuts(data, n), draw_queries(data, n)
     tmp = tmp_path_factory.mktemp("store")
     with TelemetryStore(tmp, roll_samples=roll, tier_factors=factors) as store:
         append_split(store, synth_rows(n, seed=seed), cuts)
@@ -284,7 +287,7 @@ def test_each_sealed_segment_is_its_whole_segment_encoding(
     """A seal, or a reopen salvaging a crashed writer's journal, writes the
     bytes of ``encode_segment`` over the segment's rows with every tier
     computed over all of them at once."""
-    cuts, _ = split_and_queries(data, n)
+    cuts = draw_cuts(data, n)
     tmp = tmp_path_factory.mktemp("store")
     store = TelemetryStore(
         tmp,
